@@ -249,6 +249,8 @@ def jackson_ratios(eigsys: EigenSystem, f: GridFunction, k: int, p: float,
     denom = lp_norm(model, rough, p)
     if errors is None:
         errors = [r.error for r in error_sequence(model, eigsys, f, p, J)]
+    if len(errors) != J + 1:
+        raise ValueError("need one error per level j = 0..J")
     floor = 1e-12 * max(lp_norm(model, f, p), 1e-300)
     if denom <= floor:
         # essentially constant f: errors must vanish too (up to roundoff)
@@ -294,7 +296,11 @@ def k_functional_quadratic(eigsys: EigenSystem, f: GridFunction, t: float,
     if t < 0:
         raise ValueError("t must be nonnegative")
     c = _require_bandlimited(eigsys, f).coefficients
-    mu = (1.0 + eigsys.eigenvalues ** (k / 2.0)) ** 2
+    return _k_quadratic(c, eigsys.eigenvalues, t, k)
+
+
+def _k_quadratic(c: np.ndarray, lam: np.ndarray, t: float, k: int) -> float:
+    mu = (1.0 + lam ** (k / 2.0)) ** 2
     t2mu = t * t * mu
     return float(np.sqrt(np.sum(c * c * t2mu / (1.0 + t2mu))))
 
@@ -312,7 +318,8 @@ def interpolation_norm(eigsys: EigenSystem, f: GridFunction, theta: float,
     if np.any(t_grid <= 0):
         raise ValueError("t_grid must be positive")
     t_grid = np.sort(t_grid)
-    kvals = np.array([k_functional_quadratic(eigsys, f, t, k) for t in t_grid])
+    c = _require_bandlimited(eigsys, f).coefficients
+    kvals = np.array([_k_quadratic(c, eigsys.eigenvalues, t, k) for t in t_grid])
     weighted = t_grid ** (-theta) * kvals
     base = lp_norm(eigsys.model, f, 2)
     if np.isinf(q):

@@ -12,14 +12,13 @@ included eigenfunctions, so each solve is a finite convex problem:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .manifold import GridFunction, ManifoldModel
+from .manifold import GridFunction, ManifoldModel, _weighted_norm
 from .spectrum import CoefVector, EigenSystem
 
 IRLS_EPS = 1e-10
@@ -44,9 +43,7 @@ class ApproxResult:
 
 
 def best_approx(model: ManifoldModel, eigsys: EigenSystem, f: GridFunction,
-                omega: float, p: float, *, irls_tol: float = IRLS_TOL,
-                irls_max_iter: int = IRLS_MAX_ITER,
-                irls_eps: float = IRLS_EPS) -> ApproxResult:
+                omega: float, p: float) -> ApproxResult:
     """Distance in L_p from f to the span of eigenfunctions with lambda <= omega.
 
     The cutoff is inclusive (lambda = omega belongs to the span). Rejects
@@ -69,22 +66,11 @@ def best_approx(model: ManifoldModel, eigsys: EigenSystem, f: GridFunction,
     if p == 2:
         r = f.values - u @ c0
         return ApproxResult(omega=float(omega), p=2.0,
-                            error=_wnorm(w, r, 2.0),
+                            error=_weighted_norm(w, r, 2.0),
                             coefficients=CoefVector(c0), solver="projection")
     if np.isinf(p) or p == 1:
         return _solve_lp(model, u, f.values, float(omega), p)
-    return _solve_irls(model, u, f.values, c0, float(omega), p,
-                       tol=irls_tol, max_iter=irls_max_iter, eps=irls_eps)
-
-
-def _wnorm(w: np.ndarray, r: np.ndarray, p: float) -> float:
-    a = np.abs(r)
-    if np.isinf(p):
-        return float(a.max()) if len(a) else 0.0
-    m = a.max()
-    if m == 0.0:
-        return 0.0
-    return float(m * (w @ (a / m) ** p) ** (1.0 / p))
+    return _solve_irls(model, u, f.values, c0, float(omega), p)
 
 
 def _irls_gradient_norm(u, w, r, p):
@@ -93,19 +79,19 @@ def _irls_gradient_norm(u, w, r, p):
     return float(np.linalg.norm(grad))
 
 
-def _solve_irls(model, u, fvals, c0, omega, p, *, tol, max_iter, eps):
+def _solve_irls(model, u, fvals, c0, omega, p):
     w = model.weights
     c = c0.copy()
     r = fvals - u @ c
-    err = _wnorm(w, r, p)
+    err = _weighted_norm(w, r, p)
     # optimality certificate target; the error-change criterion alone can
     # stall short of it for p < 2
-    grad_target = 1e-6 * _wnorm(w, fvals, p) ** (p - 1.0)
+    grad_target = 1e-6 * _weighted_norm(w, fvals, p) ** (p - 1.0)
     change = np.inf
     iters = 0
     converged = False
-    for iters in range(1, max_iter + 1):
-        weights = w * np.maximum(np.abs(r), eps) ** (p - 2.0)
+    for iters in range(1, IRLS_MAX_ITER + 1):
+        weights = w * np.maximum(np.abs(r), IRLS_EPS) ** (p - 2.0)
         sq = np.sqrt(weights)
         c_ls, *_ = np.linalg.lstsq(u * sq[:, None], fvals * sq, rcond=None)
         # backtrack toward the previous iterate if the objective regressed
@@ -113,13 +99,13 @@ def _solve_irls(model, u, fvals, c0, omega, p, *, tol, max_iter, eps):
         for _ in range(40):
             c_try = c + step * (c_ls - c)
             r_try = fvals - u @ c_try
-            err_try = _wnorm(w, r_try, p)
+            err_try = _weighted_norm(w, r_try, p)
             if err_try <= err or step < 1e-12:
                 break
             step *= 0.5
         change = abs(err - err_try) / max(err, 1e-300)
         c, r, err = c_try, r_try, err_try
-        if change < tol and _irls_gradient_norm(u, w, r, p) <= grad_target:
+        if change < IRLS_TOL and _irls_gradient_norm(u, w, r, p) <= grad_target:
             converged = True
             break
     return ApproxResult(omega=omega, p=float(p), error=err,
@@ -155,7 +141,7 @@ def _solve_lp(model, u, fvals, omega, p):
                            "dual_feasibility_tolerance": LP_TOL})
     converged = res.status == 0
     c = res.x[:k] if res.x is not None else np.zeros(k)
-    err = _wnorm(w, fvals - u @ c, p)
+    err = _weighted_norm(w, fvals - u @ c, p)
     return ApproxResult(omega=omega, p=float(p), error=err,
                         coefficients=CoefVector(c), solver="lp-highs",
                         iterations=int(getattr(res, "nit", 0)),
@@ -168,13 +154,3 @@ def error_sequence(model: ManifoldModel, eigsys: EigenSystem, f: GridFunction,
     if 4.0 ** J > eigsys.band_limit:
         raise ValueError("4^J exceeds the computed band limit")
     return [best_approx(model, eigsys, f, 4.0 ** j, p) for j in range(J + 1)]
-
-
-def write_error_csv(path, results: list[ApproxResult]) -> None:
-    """CSV export of an error sequence: (j, omega, p, error, iterations, converged)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "omega", "p", "error", "iterations", "converged"])
-        for j, r in enumerate(results):
-            writer.writerow([j, f"{r.omega:.17g}", f"{r.p:.17g}",
-                             f"{r.error:.17g}", r.iterations, int(r.converged)])

@@ -89,14 +89,6 @@ def make_filter_family(k: int = 2) -> FilterFamily:
     return FilterFamily(make_bump(), int(k))
 
 
-def eval_Fj(family: FilterFamily, j: int, lam):
-    return family.f_j(j, lam)
-
-
-def eval_Psij(family: FilterFamily, j: int, lam):
-    return family.psi_j(j, lam)
-
-
 def check_partition(family: FilterFamily, J: int, lam_grid) -> float:
     """Max deviation of sum_{j=0..J} F_j from 1 on a grid inside [0, 4^J]."""
     lam = np.asarray(lam_grid, dtype=float)

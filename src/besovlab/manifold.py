@@ -27,17 +27,15 @@ class ManifoldModel:
         in R^3; mesh rows are vertex positions.
     weights : ndarray
         Positive quadrature weights summing to the total measure.
-    injectivity_radius_proxy : float
-        Positive length recorded for documentation; not used in computations.
     params : dict
         Constructor parameters (used for resolution checks and descriptors).
-    distance_matrix_precomputed : ndarray, optional
-        Full pairwise geodesic distances; required for ``mesh`` models where
-        distances cannot be recomputed from coordinates alone.
+    faces : ndarray, optional
+        Triangles of a ``mesh`` model, one row of three vertex indices per
+        face. Mesh geodesics are shortest paths on the edge graph, computed
+        on first use and cached, like the distance matrix of the other kinds.
     """
 
-    def __init__(self, kind, dim, nodes, weights, injectivity_radius_proxy,
-                 params=None, distance_matrix_precomputed=None):
+    def __init__(self, kind, dim, nodes, weights, params=None, faces=None):
         self.kind = kind
         self.dim = int(dim)
         self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
@@ -47,11 +45,9 @@ class ManifoldModel:
         if np.any(self.weights <= 0):
             raise ValueError("all quadrature weights must be positive")
         self.total_measure = float(self.weights.sum())
-        self.injectivity_radius_proxy = float(injectivity_radius_proxy)
-        if self.injectivity_radius_proxy <= 0:
-            raise ValueError("injectivity_radius_proxy must be positive")
         self.params = dict(params or {})
-        self._dist = distance_matrix_precomputed
+        self.faces = faces
+        self._dist = None
 
     @property
     def n_nodes(self) -> int:
@@ -59,24 +55,28 @@ class ManifoldModel:
 
     def distances_from(self, i: int) -> np.ndarray:
         """Geodesic distances from node i to every node."""
-        if self._dist is not None:
-            return self._dist[i]
+        if self._dist is not None or self.kind == "mesh":
+            return self.distance_matrix()[i]
         return self._pairwise(self.nodes[i:i + 1, :], self.nodes)[0]
 
     def distance(self, i: int, j: int) -> float:
         """Geodesic distance between nodes i and j."""
         if i == j:
             return 0.0
-        if self._dist is not None:
-            return float(self._dist[i, j])
+        if self._dist is not None or self.kind == "mesh":
+            return float(self.distance_matrix()[i, j])
         return float(self._pairwise(self.nodes[i:i + 1, :], self.nodes[j:j + 1, :])[0, 0])
 
     def distance_matrix(self) -> np.ndarray:
         """Full pairwise geodesic distance matrix (cached, exact zero diagonal)."""
         if self._dist is None:
-            d = self._pairwise(self.nodes, self.nodes)
-            np.fill_diagonal(d, 0.0)
-            self._dist = d
+            if self.kind == "mesh":
+                from . import mesh  # deferred: mesh imports this module
+                self._dist = mesh.edge_graph_distances(self.nodes, self.faces)
+            else:
+                d = self._pairwise(self.nodes, self.nodes)
+                np.fill_diagonal(d, 0.0)
+                self._dist = d
         return self._dist
 
     def _pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -130,7 +130,6 @@ def build_circle(n_nodes: int) -> ManifoldModel:
     angles = 2 * np.pi * np.arange(n_nodes) / n_nodes
     weights = np.full(n_nodes, 2 * np.pi / n_nodes)
     return ManifoldModel("circle", 1, angles[:, None], weights,
-                         injectivity_radius_proxy=np.pi,
                          params={"n_nodes": n_nodes})
 
 
@@ -150,7 +149,6 @@ def build_torus2(n_per_dim: int) -> ManifoldModel:
     nodes = np.column_stack([xx.ravel(), yy.ravel()])
     weights = np.full(n_per_dim ** 2, (2 * np.pi / n_per_dim) ** 2)
     return ManifoldModel("torus2", 2, nodes, weights,
-                         injectivity_radius_proxy=np.pi,
                          params={"n_per_dim": n_per_dim})
 
 
@@ -177,7 +175,6 @@ def build_sphere2(band: int) -> ManifoldModel:
     nodes = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
     weights = np.outer(wx, np.full(n_phi, 2 * np.pi / n_phi)).ravel()
     return ManifoldModel("sphere2", 2, nodes, weights,
-                         injectivity_radius_proxy=np.pi,
                          params={"band": band, "n_theta": n_theta, "n_phi": n_phi})
 
 
@@ -187,14 +184,19 @@ def lp_norm(model: ManifoldModel, f: GridFunction, p: float) -> float:
         raise ValueError("grid function does not live on this model")
     if p < 1:
         raise ValueError("p must satisfy 1 <= p <= inf")
-    a = np.abs(f.values)
+    return _weighted_norm(model.weights, f.values, p)
+
+
+def _weighted_norm(w: np.ndarray, values: np.ndarray, p: float) -> float:
+    """(sum_i w_i |v_i|^p)^(1/p), node max for p=inf; no argument checks."""
+    a = np.abs(values)
     if np.isinf(p):
         return float(a.max()) if len(a) else 0.0
     m = a.max()
     if m == 0.0:
         return 0.0
     # factor out the max to keep a^p in range for large p
-    return float(m * (model.weights @ (a / m) ** p) ** (1.0 / p))
+    return float(m * (w @ (a / m) ** p) ** (1.0 / p))
 
 
 def ball_volume(model: ManifoldModel, center: int, radius: float) -> float:

@@ -45,10 +45,15 @@ def parse_off(text: str) -> tuple[np.ndarray, np.ndarray]:
         raise MeshFormatError("malformed vertex line") from exc
     faces = []
     for i in range(nv, nv + nf):
-        toks = body[i].split()
-        if int(toks[0]) != 3:
+        try:
+            corners = [int(tok) for tok in body[i].split()[:4]]
+        except ValueError as exc:
+            raise MeshFormatError("malformed face line") from exc
+        if corners[0] != 3:
             raise MeshFormatError("only triangle faces are supported")
-        faces.append([int(toks[1]), int(toks[2]), int(toks[3])])
+        if len(corners) < 4:
+            raise MeshFormatError("malformed face line")
+        faces.append(corners[1:])
     faces = np.array(faces, dtype=int)
     if verts.shape != (nv, 3):
         raise MeshFormatError("vertex block has wrong shape")
@@ -132,7 +137,8 @@ def load_mesh(path) -> ManifoldModel:
     """Load a closed manifold triangle mesh (ASCII OFF) as a 2-manifold model.
 
     Weights are lumped barycentric vertex areas; the geodesic distance is the
-    shortest path on the edge graph with Euclidean edge lengths.
+    shortest path on the edge graph with Euclidean edge lengths, computed by
+    the model on first use.
     """
     with open(path) as fh:
         verts, faces = parse_off(fh.read())
@@ -142,21 +148,10 @@ def load_mesh(path) -> ManifoldModel:
         raise MeshFormatError(f"degenerate triangle(s) at face index {bad[:5].tolist()}")
     _check_closed_manifold(faces)
     weights = lumped_vertex_areas(verts, faces)
-    dist = edge_graph_distances(verts, faces)
-    edge_len = _mean_edge_length(verts, faces)
-    model = ManifoldModel("mesh", 2, verts, weights,
-                          injectivity_radius_proxy=edge_len,
-                          params={"path": str(path), "n_vertices": len(verts),
-                                  "n_faces": len(faces)},
-                          distance_matrix_precomputed=dist)
-    model.faces = faces
-    return model
-
-
-def _mean_edge_length(verts: np.ndarray, faces: np.ndarray) -> float:
-    i = np.concatenate([faces[:, 0], faces[:, 1], faces[:, 2]])
-    j = np.concatenate([faces[:, 1], faces[:, 2], faces[:, 0]])
-    return float(np.linalg.norm(verts[i] - verts[j], axis=1).mean())
+    return ManifoldModel("mesh", 2, verts, weights,
+                         params={"path": str(path), "n_vertices": len(verts),
+                                 "n_faces": len(faces)},
+                         faces=faces)
 
 
 def icosphere(level: int, radius: float = 1.0) -> tuple[np.ndarray, np.ndarray]:

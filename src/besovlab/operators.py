@@ -9,7 +9,6 @@ Young inequality and p->q operator-norm boundedness they imply.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,14 +186,3 @@ def weighted_decay_integral(model: ManifoldModel, t: float, N: float) -> float:
     d = model.distance_matrix()
     vals = ((1.0 + d / t) ** (-float(N))) @ model.weights
     return float(vals.max() * t ** (-model.dim))
-
-
-def write_decay_csv(path, fits, runtimes_ms=None) -> None:
-    """CSV report for a decay-fit sweep: (t, N, C, max_abs_K, runtime_ms)."""
-    runtimes_ms = runtimes_ms or [float("nan")] * len(fits)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "N", "C", "max_abs_K", "runtime_ms"])
-        for fit, rt in zip(fits, runtimes_ms):
-            writer.writerow([f"{fit.t:.17g}", f"{fit.N:.17g}", f"{fit.C:.17g}",
-                             f"{fit.max_abs_kernel:.17g}", f"{rt:.3f}"])

@@ -194,6 +194,18 @@ class TestJacksonRatios:
         ratios = np.array(jackson_ratios(es, f, 2, 2.0, 6))
         assert ratios.max() / np.median(ratios) < 10.0
 
+    def test_rejects_too_few_errors(self, circle512_es_1024):
+        es = circle512_es_1024
+        f = pure(es, es.index_of(("cos", 3)))
+        with pytest.raises(ValueError, match="one error per level"):
+            jackson_ratios(es, f, 2, 2.0, 3, errors=[1.0, 1.0, 0.0])
+
+    def test_rejects_too_many_errors(self, circle512_es_1024):
+        es = circle512_es_1024
+        f = pure(es, es.index_of(("cos", 3)))
+        with pytest.raises(ValueError, match="one error per level"):
+            jackson_ratios(es, f, 2, 2.0, 3, errors=[1.0, 1.0, 0.0, 0.0, 0.0])
+
 
 class TestBernsteinRatio:
     def test_pure_eigenfunction_closed_form(self, circle512_es_1024):
@@ -316,6 +328,18 @@ class TestInterpolationNorm:
                 an = a_norm(es, f, params, errors=errs).a_norm
                 inorm = interpolation_norm(es, f, alpha / k, 2.0, k, tg)
                 assert 1.0 / 8.0 <= an / inorm <= 8.0
+
+    @pytest.mark.parametrize("q", [2.0, np.inf])
+    def test_matches_per_t_k_functional(self, circle512_es_1024, rng, q):
+        es = circle512_es_1024
+        f = random_band(es, rng, 9)
+        tg = np.geomspace(1e-4, 1.0, 50)
+        weighted = tg ** -0.5 * np.array([k_functional_quadratic(es, f, t, 2)
+                                          for t in tg])
+        tail = (weighted.max() if np.isinf(q)
+                else np.trapezoid(weighted ** q, np.log(tg)) ** (1.0 / q))
+        expected = lp_norm(es.model, f, 2) + float(tail)
+        assert interpolation_norm(es, f, 0.5, q, 2, tg) == expected
 
     def test_rejects_bad_theta(self, circle512_es_1024, rng):
         es = circle512_es_1024

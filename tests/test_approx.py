@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from besovlab.approx import best_approx, error_sequence, write_error_csv
+from besovlab.approx import best_approx, error_sequence
+from besovlab.cli import write_table
 from besovlab.manifold import GridFunction, lp_norm
 from besovlab.spectrum import CoefVector, synthesize
 
@@ -183,9 +184,11 @@ class TestErrorSequence:
         es = circle1024_es
         f = random_band(es, rng, 9)
         results = error_sequence(es.model, es, f, 2.0, 3)
-        path = tmp_path / "errors.csv"
-        write_error_csv(path, results)
-        lines = path.read_text().strip().splitlines()
+        rows = [[j, r.omega, r.p, r.error, r.iterations, int(r.converged)]
+                for j, r in enumerate(results)]
+        write_table(str(tmp_path), "errors",
+                    ["j", "omega", "p", "error", "iterations", "converged"], rows)
+        lines = (tmp_path / "errors.csv").read_text().strip().splitlines()
         assert lines[0] == "j,omega,p,error,iterations,converged"
         assert len(lines) == 5
         assert float(lines[1].split(",")[3]) == pytest.approx(results[0].error)

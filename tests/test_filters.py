@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from besovlab.filters import (check_partition, eval_Fj, eval_Psij, make_bump,
-                              make_filter_family)
+from besovlab.filters import check_partition, make_bump, make_filter_family
 
 
 class TestBump:
@@ -53,27 +52,27 @@ class TestFilterFamily:
 
     def test_F1_below_support(self):
         fam = make_filter_family(2)
-        assert eval_Fj(fam, 1, 0.5) == 0.0
+        assert fam.f_j(1, 0.5) == 0.0
 
     def test_Fj_is_rescaled_F1(self, rng):
         fam = make_filter_family(2)
         for _ in range(50):
             j = int(rng.integers(1, 9))
             lam = float(rng.uniform(0, 4.0 ** (j + 2)))
-            assert eval_Fj(fam, j, lam) == pytest.approx(
-                eval_Fj(fam, 1, lam / 4.0 ** (j - 1)), abs=1e-15)
+            assert fam.f_j(j, lam) == pytest.approx(
+                fam.f_j(1, lam / 4.0 ** (j - 1)), abs=1e-15)
 
     def test_telescoping_sum(self, rng):
         fam = make_filter_family(2)
         for _ in range(30):
             J = int(rng.integers(0, 6))
             lam = float(rng.uniform(0, 4.0 ** (J + 1)))
-            total = sum(eval_Fj(fam, j, lam) for j in range(J + 1))
+            total = sum(fam.f_j(j, lam) for j in range(J + 1))
             assert total == pytest.approx(fam.h(lam / 4.0 ** J), abs=1e-12)
 
     def test_psi_example(self):
         fam = make_filter_family(2)
-        assert eval_Psij(fam, 1, 4.0) == pytest.approx(fam.F(4.0) / 4.0, abs=1e-15)
+        assert fam.psi_j(1, 4.0) == pytest.approx(fam.F(4.0) / 4.0, abs=1e-15)
 
     def test_scaling_identity(self, rng):
         # F_j(lam) = 2^(-(j-1)k) Psi_j(lam) lam^(k/2)
@@ -82,15 +81,15 @@ class TestFilterFamily:
             for _ in range(100):
                 j = int(rng.integers(1, 8))
                 lam = float(rng.uniform(1e-3, 4.0 ** (j + 2)))
-                lhs = eval_Fj(fam, j, lam)
-                rhs = 2.0 ** (-(j - 1) * k) * eval_Psij(fam, j, lam) * lam ** (k / 2)
+                lhs = fam.f_j(j, lam)
+                rhs = 2.0 ** (-(j - 1) * k) * fam.psi_j(j, lam) * lam ** (k / 2)
                 assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_psi_bounded_on_support(self):
         fam = make_filter_family(2)
         lam = np.linspace(0.01, 4.0 ** 5, 20000)
         for j in (1, 2, 3):
-            vals = np.array([eval_Psij(fam, j, x) for x in lam[::97]])
+            vals = np.array([fam.psi_j(j, x) for x in lam[::97]])
             assert np.all(np.abs(vals) <= 1.0 + 1e-12)
 
     def test_disjoint_supports(self):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import besovlab.mesh
+from besovlab.cli import main
 from besovlab.mesh import (MeshFormatError, icosphere, load_mesh, parse_off,
                            triangle_areas, write_off)
+from besovlab.spectrum import build_eigensystem
 
 
 def test_icosahedron_surface_area(tmp_path):
@@ -57,6 +60,39 @@ def test_parse_off_rejects_bad_index():
     text = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 5\n"
     with pytest.raises(MeshFormatError):
         parse_off(text)
+
+
+@pytest.mark.parametrize("face", ["3 0 1", "3", "3 0 1 x", "3 0 1.5 2"])
+def test_parse_off_rejects_malformed_face_line(face):
+    text = f"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n{face}\n"
+    with pytest.raises(MeshFormatError, match="malformed face line"):
+        parse_off(text)
+
+
+def test_cli_exits_2_on_malformed_face_line(tmp_path, capsys):
+    path = tmp_path / "bad.off"
+    path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n")
+    code = main(["spectrum", "--manifold", "mesh", "--mesh", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "malformed face line" in capsys.readouterr().err
+
+
+def test_geodesics_computed_on_first_use(icosphere3_path, monkeypatch):
+    def forbidden(verts, faces):
+        raise AssertionError("edge-graph distances computed eagerly")
+
+    with monkeypatch.context() as m:
+        m.setattr(besovlab.mesh, "edge_graph_distances", forbidden)
+        model = load_mesh(icosphere3_path)
+        build_eigensystem(model, 30.0)
+    _, faces = parse_off(icosphere3_path.read_text())
+    np.testing.assert_array_equal(model.faces, faces)
+    row, d_5_17 = model.distances_from(5), model.distance(5, 17)
+    d = model.distance_matrix()
+    np.testing.assert_array_equal(row, d[5])
+    assert d_5_17 == d[5, 17] > 0.0
+    assert np.all(np.diag(d) == 0.0)
 
 
 def test_load_mesh_rejects_open_surface(tmp_path):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from besovlab.cli import write_table
 from besovlab.filters import make_filter_family
 from besovlab.manifold import GridFunction, build_circle
 from besovlab.operators import (KernelMatrix, apply_filter, apply_kernel,
                                 build_kernel, fit_decay_constant,
                                 kernel_alpha_norms, operator_norm_estimate,
-                                weighted_decay_integral, write_decay_csv,
-                                young_apply_check)
+                                weighted_decay_integral, young_apply_check)
 from besovlab.spectrum import CoefVector, build_eigensystem, synthesize
 
 FAM = make_filter_family(2)
@@ -175,9 +175,9 @@ class TestDecayFit:
     def test_csv_export(self, tmp_path, circle512_es_1024):
         k = build_kernel(circle512_es_1024, FAM.F, 0.25, "F")
         fit = fit_decay_constant(circle512_es_1024.model, k, 0.25, 3.0)
-        path = tmp_path / "decay.csv"
-        write_decay_csv(path, [fit], [12.0])
-        lines = path.read_text().strip().splitlines()
+        write_table(str(tmp_path), "decay", ["t", "N", "C", "max_abs_K", "runtime_ms"],
+                    [[fit.t, fit.N, fit.C, fit.max_abs_kernel, 12.0]])
+        lines = (tmp_path / "decay.csv").read_text().strip().splitlines()
         assert lines[0] == "t,N,C,max_abs_K,runtime_ms"
         assert len(lines) == 2
 
