@@ -13,6 +13,7 @@ ratio checks, and a quadratic-mean K-functional for the pair (L_2, W^k_2).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,20 +111,30 @@ def _tail_residual(errors, params):
 class ErrorCache:
     """Memo for best-approximation errors across norm evaluations.
 
-    Keys on function identity, pinning each function so a recycled object
-    address can never alias two different functions.
+    Keys on the content of a function: its model and a digest of its sample
+    values, with (p, omega). A function rebuilt with the same samples (every
+    experiment builds its own copy of the corpus) therefore hits the entries
+    of the first copy, and the cache holds no reference to any function. It
+    keeps each model it has seen, so a model's id is never reused while an
+    entry refers to it.
     """
 
     def __init__(self):
         self._vals: dict = {}
-        self._pins: list = []
+        self._models: dict = {}
+
+    @staticmethod
+    def _key(f, p, omega):
+        vals = f.values
+        digest = hashlib.sha256(vals.dtype.str.encode() + vals.tobytes()).digest()
+        return id(f.model), digest, float(p), float(omega)
 
     def lookup(self, f, p, omega):
-        return self._vals.get((id(f), float(p), float(omega)))
+        return self._vals.get(self._key(f, p, omega))
 
     def store(self, f, p, omega, value):
-        self._pins.append(f)
-        self._vals[(id(f), float(p), float(omega))] = value
+        self._models[id(f.model)] = f.model
+        self._vals[self._key(f, p, omega)] = value
 
 
 def errors_at_cutoffs(eigsys: EigenSystem, f: GridFunction, p: float,

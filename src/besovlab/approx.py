@@ -7,7 +7,19 @@ included eigenfunctions, so each solve is a finite convex problem:
 * 1 < p < inf: iteratively reweighted least squares started at the
   projection, with an epsilon floor on the residual weights and a
   backtracking step so the objective never increases,
-* p = 1 and p = inf: linear programs over the node residuals (HiGHS).
+* p = 1: the dual linear program of discrete L_1 approximation
+  (Barrodale & Roberts 1973), max f^T z subject to U^T z = 0 and
+  |z_i| <= w_i: k equality rows and box bounds, no slack variables. The
+  coefficients are read off the equality marginals,
+* p = inf: the primal linear program min s subject to |f - Uc| <= s.
+
+Both linear programs are solved with HiGHS and certified. ``error`` is the
+L_p error of a coefficient vector held in hand (the linear program's or the
+projection's, whichever is smaller), so it is attained; ``lower_bound`` is
+the objective of the HiGHS dual solution. The best error lies in
+[lower_bound, error] up to the solver's feasibility tolerance (the two can
+cross by roundoff when the gap closes). A failed HiGHS solve raises
+``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -16,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
 from .manifold import GridFunction, ManifoldModel, _weighted_norm
 from .spectrum import CoefVector, EigenSystem
@@ -29,7 +40,15 @@ LP_TOL = 1e-9
 
 @dataclass
 class ApproxResult:
-    """Outcome of one best-approximation solve."""
+    """Outcome of one best-approximation solve.
+
+    ``error`` is the L_p error of ``coefficients``. For the linear programs
+    (``solver == "lp-highs"``) ``lower_bound`` is the HiGHS dual objective,
+    a lower bound on the best error up to the solver's feasibility tolerance
+    and roundoff, and ``converged`` means that HiGHS reported an optimum and
+    that ``|error - lower_bound|`` is at most ``LP_TOL * ||f||_p``. The other
+    solvers leave ``lower_bound`` as None.
+    """
 
     omega: float
     p: float
@@ -40,6 +59,7 @@ class ApproxResult:
     converged: bool = True
     residual_change: float = 0.0
     gradient_norm: float | None = None
+    lower_bound: float | None = None
 
 
 def best_approx(model: ManifoldModel, eigsys: EigenSystem, f: GridFunction,
@@ -69,7 +89,7 @@ def best_approx(model: ManifoldModel, eigsys: EigenSystem, f: GridFunction,
                             error=_weighted_norm(w, r, 2.0),
                             coefficients=CoefVector(c0), solver="projection")
     if np.isinf(p) or p == 1:
-        return _solve_lp(model, u, f.values, float(omega), p)
+        return _solve_lp(model, u, f.values, c0, float(omega), p)
     return _solve_irls(model, u, f.values, c0, float(omega), p)
 
 
@@ -115,37 +135,56 @@ def _solve_irls(model, u, fvals, c0, omega, p):
                         gradient_norm=_irls_gradient_norm(u, w, r, p))
 
 
-def _solve_lp(model, u, fvals, omega, p):
+def _solve_lp(model, u, fvals, c0, omega, p):
+    # deferred: scipy.optimize is a third of the package import time and
+    # only these two solves use it
+    from scipy.optimize import linprog
+
     n, k = u.shape
     w = model.weights
-    u_sp = sparse.csr_matrix(u)
+    opts = {"primal_feasibility_tolerance": LP_TOL,
+            "dual_feasibility_tolerance": LP_TOL}
     if np.isinf(p):
         # minimize s with -s <= f - Uc <= s
+        u_sp = sparse.csr_matrix(u)
         ones = sparse.csr_matrix(np.ones((n, 1)))
         a_ub = sparse.vstack([sparse.hstack([u_sp, -ones]),
                               sparse.hstack([-u_sp, -ones])], format="csr")
         cost = np.zeros(k + 1)
         cost[-1] = 1.0
-        n_slack = 1
+        b_ub = np.concatenate([fvals, -fvals])
+        bounds = [(None, None)] * k + [(0, None)]
+        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds,
+                      method="highs", options=opts)
+        _check_status(res)
+        c = res.x[:k]
+        lower = float(b_ub @ res.ineqlin.marginals)
     else:
-        # minimize sum w_i s_i with -s_i <= f_i - (Uc)_i <= s_i
-        eye = sparse.eye(n, format="csr")
-        a_ub = sparse.vstack([sparse.hstack([u_sp, -eye]),
-                              sparse.hstack([-u_sp, -eye])], format="csr")
-        cost = np.concatenate([np.zeros(k), w])
-        n_slack = n
-    b_ub = np.concatenate([fvals, -fvals])
-    bounds = [(None, None)] * k + [(0, None)] * n_slack
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs",
-                  options={"primal_feasibility_tolerance": LP_TOL,
-                           "dual_feasibility_tolerance": LP_TOL})
-    converged = res.status == 0
-    c = res.x[:k] if res.x is not None else np.zeros(k)
+        # maximize f^T z with U^T z = 0, -w <= z <= w
+        res = linprog(-fvals, A_eq=u.T, b_eq=np.zeros(k),
+                      bounds=np.column_stack([-w, w]), method="highs",
+                      options=opts)
+        _check_status(res)
+        c = -res.eqlin.marginals
+        lower = float(-res.fun)
+    # report the better of the two coefficient vectors held, so a function
+    # the span resolves keeps the projection's roundoff-level error
     err = _weighted_norm(w, fvals - u @ c, p)
+    err0 = _weighted_norm(w, fvals - u @ c0, p)
+    if err0 < err:
+        c, err = c0, err0
+    scale = max(_weighted_norm(w, fvals, p), 1e-300)
     return ApproxResult(omega=omega, p=float(p), error=err,
                         coefficients=CoefVector(c), solver="lp-highs",
-                        iterations=int(getattr(res, "nit", 0)),
-                        converged=converged)
+                        iterations=int(res.nit),
+                        converged=abs(err - lower) <= LP_TOL * scale,
+                        lower_bound=lower)
+
+
+def _check_status(res):
+    if res.status != 0:
+        raise RuntimeError(
+            f"HiGHS linear program failed (status {res.status}): {res.message}")
 
 
 def error_sequence(model: ManifoldModel, eigsys: EigenSystem, f: GridFunction,

@@ -29,7 +29,8 @@ from .analysis import (BesovParams, ErrorCache, a_norm, a_norm_continuous,
                        bernstein_ratio, besov_report, errors_at_cutoffs,
                        interpolation_norm, is_bandlimited, jackson_ratios)
 from .filters import check_partition, make_filter_family
-from .manifold import GridFunction, build_circle, build_sphere2, build_torus2
+from .manifold import (GridFunction, build_circle, build_sphere2, build_torus2,
+                       lp_norm)
 from .mesh import load_mesh
 from .operators import (KernelMatrix, build_kernel, fit_decay_constant,
                         operator_norm_estimate, weighted_decay_integral,
@@ -316,7 +317,9 @@ def run_jackson(cfg, model, eigsys, outdir, report: Report, cache=None):
         errs = errors_at_cutoffs(eigsys, f, p,
                                  [4.0 ** j for j in range(cfg["jmax"] + 1)], cache)
         ratios = jackson_ratios(eigsys, f, k, p, cfg["jmax"], errors=errs)
-        pos = [r for r in ratios if r > 0]
+        # levels already resolved to roundoff carry no rate information
+        floor = 1e-12 * max(lp_norm(model, f, p), 1e-300)
+        pos = [r for r, e in zip(ratios, errs) if r > 0 and e > floor]
         trend = max(pos) / np.median(pos) if pos else 1.0
         report.check(f"jackson.bounded[p={p:g}]", trend < 10.0, trend, 10.0)
         for j, r in enumerate(ratios):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -9,7 +12,7 @@ from besovlab.analysis import (BesovParams, ErrorCache, a_norm,
                                k_functional_quadratic, lp_comparator_norm,
                                sobolev_norm)
 from besovlab.corpus import default_corpus, lacunary
-from besovlab.manifold import GridFunction, lp_norm
+from besovlab.manifold import GridFunction, build_circle, lp_norm
 from besovlab.spectrum import CoefVector, synthesize
 
 
@@ -109,6 +112,42 @@ class TestANormContinuous:
             cont = a_norm_continuous(es, f, 1.0, 2.0, q,
                                      np.geomspace(1.0, 4.0 ** 5, 30), cache)
             assert 1.0 / 8.0 <= rep.a_norm / cont <= 8.0
+
+
+class TestErrorCache:
+    def test_rebuilt_function_hits(self, circle512_es_1024):
+        es = circle512_es_1024
+        cache = ErrorCache()
+        f = lacunary(1.0, 4).build(es.model, es)
+        errs = errors_at_cutoffs(es, f, 1.0, [1.0, 4.0], cache)
+        again = lacunary(1.0, 4).build(es.model, es)
+        assert again is not f
+        assert [cache.lookup(again, 1.0, w) for w in (1.0, 4.0)] == errs
+
+    def test_different_values_or_model_miss(self, circle512_es_1024):
+        es = circle512_es_1024
+        cache = ErrorCache()
+        f = lacunary(1.0, 4).build(es.model, es)
+        cache.store(f, 1.0, 4.0, 0.5)
+        shifted = GridFunction(es.model, f.values + 1e-12)
+        assert cache.lookup(shifted, 1.0, 4.0) is None
+        other = build_circle(es.model.n_nodes)
+        assert cache.lookup(GridFunction(other, f.values.copy()), 1.0, 4.0) is None
+        assert cache.lookup(f, 2.0, 4.0) is None
+        assert cache.lookup(f, 1.0, 16.0) is None
+        assert cache.lookup(f, 1.0, 4.0) == 0.5
+
+    def test_does_not_pin_functions(self, circle512_es_1024):
+        es = circle512_es_1024
+        cache = ErrorCache()
+        f = lacunary(1.0, 4).build(es.model, es)
+        values = f.values.copy()
+        errors_at_cutoffs(es, f, 2.0, [1.0, 4.0], cache)
+        ref = weakref.ref(f)
+        del f
+        gc.collect()
+        assert ref() is None
+        assert cache.lookup(GridFunction(es.model, values), 2.0, 4.0) is not None
 
 
 class TestSobolevNorm:

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
-from besovlab.approx import best_approx, error_sequence
+from besovlab.approx import LP_TOL, best_approx, error_sequence
 from besovlab.cli import write_table
-from besovlab.manifold import GridFunction, lp_norm
-from besovlab.spectrum import CoefVector, synthesize
+from besovlab.corpus import lacunary, square_wave
+from besovlab.manifold import GridFunction, build_circle, lp_norm
+from besovlab.spectrum import CoefVector, build_eigensystem, synthesize
 
 
 def lacunary_values(model, alpha, M):
@@ -243,7 +248,116 @@ def test_solver_diagnostics_fields(circle1024_es, rng):
     assert res.iterations >= 1
     assert res.residual_change < 1e-9
     assert res.converged
+    assert res.lower_bound is None
     proj = best_approx(es.model, es, f, 16.0, 2.0)
     assert proj.solver == "projection" and proj.iterations == 0
+    assert proj.lower_bound is None
     lp = best_approx(es.model, es, f, 16.0, 1.0)
     assert lp.solver == "lp-highs" and lp.converged
+    assert lp.lower_bound is not None
+
+
+def primal_l1_error(es, f, omega):
+    # independent oracle: the primal LP min sum w_i s_i, -s <= f - Uc <= s
+    n, k = es.model.n_nodes, es.cutoff_index(omega)
+    u = sparse.csr_matrix(es.eigenfunctions[:, :k])
+    eye = sparse.eye(n, format="csr")
+    a_ub = sparse.vstack([sparse.hstack([u, -eye]), sparse.hstack([-u, -eye])])
+    res = scipy.optimize.linprog(
+        np.concatenate([np.zeros(k), es.model.weights]), A_ub=a_ub,
+        b_ub=np.concatenate([f.values, -f.values]),
+        bounds=[(None, None)] * k + [(0, None)] * n, method="highs",
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    return float(res.fun)
+
+
+@pytest.fixture(scope="module")
+def circle128_es():
+    return build_eigensystem(build_circle(128), 63.0 ** 2)
+
+
+@pytest.fixture(scope="module")
+def circle64_es():
+    return build_eigensystem(build_circle(64), 31.0 ** 2)
+
+
+class TestCertifiedLP:
+    def test_p1_matches_primal_oracle(self, circle128_es, rng):
+        es = circle128_es
+        funcs = [lacunary(1.0, 5).build(es.model, es),
+                 square_wave().build(es.model, es),
+                 random_band(es, rng, 40)]
+        for f in funcs:
+            fnorm = lp_norm(es.model, f, 1.0)
+            for j in range(5):
+                res = best_approx(es.model, es, f, 4.0 ** j, 1.0)
+                oracle = primal_l1_error(es, f, 4.0 ** j)
+                assert abs(res.error - oracle) <= max(1e-9 * oracle,
+                                                      1e-12 * fnorm)
+
+    @pytest.mark.parametrize("p", [1.0, np.inf])
+    def test_certificate_brackets_error(self, circle1024_es, rng, p):
+        es = circle1024_es
+        f = random_band(es, rng, es.n_eigen)
+        fnorm = lp_norm(es.model, f, p)
+        for j in range(5):
+            res = best_approx(es.model, es, f, 4.0 ** j, p)
+            assert res.solver == "lp-highs" and res.converged
+            assert abs(res.error - res.lower_bound) <= LP_TOL * fnorm
+            assert res.lower_bound <= res.error + 1e-12 * fnorm
+
+    @pytest.mark.parametrize("p", [1.0, np.inf])
+    def test_resolved_function_keeps_projection_error(self, circle1024_es,
+                                                      rng, p):
+        es = circle1024_es
+        f = random_band(es, rng, es.cutoff_index(4.0))
+        res = best_approx(es.model, es, f, 16.0, p)
+        k = es.cutoff_index(16.0)
+        c0 = es.eigenfunctions[:, :k].T @ (es.model.weights * f.values)
+        resid = f.values - es.eigenfunctions[:, :k] @ c0
+        assert res.error <= lp_norm(es.model, GridFunction(es.model, resid), p)
+        assert res.error < 1e-12 * lp_norm(es.model, f, p)
+
+    @pytest.mark.parametrize("p", [1.0, np.inf])
+    def test_failed_solve_raises(self, circle1024_es, rng, monkeypatch, p):
+        es = circle1024_es
+        f = random_band(es, rng, 12)
+
+        def failed(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(
+                status=4, success=False, x=None, fun=None, nit=0,
+                message="Numerical difficulties encountered.")
+
+        # the solver imports linprog on each LP solve, so patching the
+        # scipy.optimize attribute reaches it
+        monkeypatch.setattr(scipy.optimize, "linprog", failed)
+        with pytest.raises(RuntimeError, match="status 4.*Numerical"):
+            best_approx(es.model, es, f, 4.0, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coefs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=31),
+       levels=st.lists(st.integers(0, 4), min_size=2, max_size=4, unique=True),
+       p=st.sampled_from([1.0, np.inf]))
+def test_lp_certificate_properties(circle64_es, coefs, levels, p):
+    es = circle64_es
+    c = np.zeros(es.n_eigen)
+    c[:len(coefs)] = coefs
+    f = synthesize(es, CoefVector(c))
+    fnorm = lp_norm(es.model, f, p)
+    slack = 1e-12 * max(fnorm, 1e-300)
+    errs = []
+    for omega in sorted(4.0 ** j for j in levels):
+        res = best_approx(es.model, es, f, omega, p)
+        k = es.cutoff_index(omega)
+        proj = es.eigenfunctions[:, :k] @ (es.eigenfunctions[:, :k].T
+                                           @ (es.model.weights * f.values))
+        proj_err = lp_norm(es.model, GridFunction(es.model, f.values - proj), p)
+        assert res.lower_bound <= res.error + slack
+        assert res.error <= proj_err
+        assert res.error <= fnorm + slack
+        errs.append(res.error)
+    for lo, hi in zip(errs[1:], errs[:-1]):
+        assert lo <= hi + 1e-9

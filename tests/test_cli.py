@@ -132,3 +132,38 @@ class TestDeterminism:
                 assert ra == rb, name
             else:
                 assert a == b, name
+
+
+def test_all_solves_each_problem_once(tmp_path, monkeypatch):
+    # experiments rebuild the corpus, so repeats are equal values in new
+    # GridFunction objects; the error cache must catch them all
+    import besovlab.analysis
+    import besovlab.approx
+    orig = besovlab.approx.best_approx
+    solved = []
+
+    def counting(model, eigsys, f, omega, p):
+        solved.append((f.values.tobytes(), float(p), float(omega)))
+        return orig(model, eigsys, f, omega, p)
+
+    monkeypatch.setattr(besovlab.approx, "best_approx", counting)
+    monkeypatch.setattr(besovlab.analysis, "best_approx", counting)
+    code = run_cli(["all", "--nodes", "128", "--jmax", "2", "--trials", "8",
+                    "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert solved
+    assert len(set(solved)) == len(solved)
+
+
+def test_jackson_trend_ignores_resolved_levels(tmp_path):
+    # the torus test function is bandlimited at 4, so levels j >= 1 have
+    # roundoff-level errors; they must not enter the trend
+    out = tmp_path / "out"
+    code = run_cli(["jackson", "--manifold", "torus2", "--nodes", "20",
+                    "--jmax", "2", "--out", str(out)])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    bounded = [a for a in report["assertions"]
+               if a["name"].startswith("jackson.bounded")]
+    assert len(bounded) == 3
+    assert all(a["passed"] and a["value"] == 1.0 for a in bounded)
