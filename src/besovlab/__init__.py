@@ -9,7 +9,7 @@ from .analysis import (BesovParams, ErrorCache, NormReport, a_norm, a_norm_conti
                        bernstein_ratio, besov_report, errors_at_cutoffs, interpolation_norm,
                        is_bandlimited, jackson_ratios, k_functional_quadratic,
                        lp_comparator_norm, sobolev_norm)
-from .approx import ApproxResult, best_approx, error_sequence
+from .approx import ApproxResult, best_approx
 from .corpus import (CorpusEntry, default_corpus, eigen_pure, lacunary,
                      lacunary_l2_error, manifest, random_bandlimited,
                      square_wave, square_wave_l2_error, write_manifest)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import best_approx, error_sequence
+from .approx import ApproxResult, best_approx
 from .filters import FilterFamily, make_filter_family
 from .manifold import GridFunction, lp_norm
 from .spectrum import EigenSystem, apply_power, project, synthesize
@@ -34,11 +34,11 @@ class BesovParams:
     J: int
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.p < 1:
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not self.p >= 1:
             raise ValueError("p must satisfy 1 <= p <= inf")
-        if self.q <= 0:
+        if not self.q > 0:
             raise ValueError("q must satisfy 0 < q <= inf")
         if self.J < 1:
             raise ValueError("J must be at least 1")
@@ -54,7 +54,6 @@ class NormReport:
     comparator_norm: float | None = None
     ratio: float | None = None
     tail_residual: float = 0.0
-    errors: list = field(default_factory=list)
 
 
 def _q_sum(terms: np.ndarray, q: float) -> float:
@@ -70,28 +69,24 @@ def _q_sum(terms: np.ndarray, q: float) -> float:
 
 
 def a_norm(eigsys: EigenSystem, f: GridFunction, params: BesovParams,
-           errors: list[float] | None = None) -> NormReport:
+           cache: ErrorCache | None = None) -> NormReport:
     """Dyadic approximation norm truncated at level J.
 
-    ``errors`` may carry precomputed E(f, 4^j, p) values (j = 0..J) to avoid
-    re-solving. Terms beyond J are not silently dropped: a geometric
+    E(f, 4^j, p) (j = 0..J) comes from ``errors_at_cutoffs`` through
+    ``cache``. Terms beyond J are not silently dropped: a geometric
     extrapolation from the last observed decay is reported as
     ``tail_residual``.
     """
     if 4.0 ** params.J > eigsys.band_limit:
         raise ValueError("4^J exceeds the computed band limit")
     model = eigsys.model
-    if errors is None:
-        errors = [r.error for r in
-                  error_sequence(model, eigsys, f, params.p, params.J)]
-    if len(errors) != params.J + 1:
-        raise ValueError("need one error per level j = 0..J")
+    errors = [r.error for r in errors_at_cutoffs(
+        eigsys, f, params.p, [4.0 ** j for j in range(params.J + 1)], cache)]
     lp_part = lp_norm(model, f, params.p)
     terms = [2.0 ** (params.alpha * j) * errors[j] for j in range(params.J + 1)]
     total = lp_part + _q_sum(np.array(terms), params.q)
     return NormReport(a_norm=total, lp_part=lp_part, dyadic_tail_terms=terms,
-                      tail_residual=_tail_residual(errors, params),
-                      errors=list(errors))
+                      tail_residual=_tail_residual(errors, params))
 
 
 def _tail_residual(errors, params):
@@ -109,7 +104,7 @@ def _tail_residual(errors, params):
 
 
 class ErrorCache:
-    """Memo for best-approximation errors across norm evaluations.
+    """Memo for best-approximation results across norm evaluations.
 
     Keys on the content of a function: its model and a digest of its sample
     values, with (p, omega). A function rebuilt with the same samples (every
@@ -138,17 +133,20 @@ class ErrorCache:
 
 
 def errors_at_cutoffs(eigsys: EigenSystem, f: GridFunction, p: float,
-                      cutoffs, cache: ErrorCache | None = None) -> list[float]:
-    """E(f, omega, p) at each cutoff, optionally memoized through ``cache``."""
-    model = eigsys.model
+                      cutoffs, cache: ErrorCache | None = None) -> list[ApproxResult]:
+    """The best-approximation result for E(f, omega, p) at each cutoff.
+
+    Each (f, p, omega) is solved once per ``cache``; without one, once per
+    call. A cutoff beyond the computed band raises ``ValueError``.
+    """
+    cache = ErrorCache() if cache is None else cache
     out = []
     for omega in cutoffs:
-        val = cache.lookup(f, p, omega) if cache is not None else None
-        if val is None:
-            val = best_approx(model, eigsys, f, omega, p).error
-            if cache is not None:
-                cache.store(f, p, omega, val)
-        out.append(val)
+        res = cache.lookup(f, p, omega)
+        if res is None:
+            res = best_approx(eigsys.model, eigsys, f, omega, p)
+            cache.store(f, p, omega, res)
+        out.append(res)
     return out
 
 
@@ -175,7 +173,7 @@ def a_norm_continuous(eigsys: EigenSystem, f: GridFunction, alpha: float,
     lam = eigsys.eigenvalues
     breaks = np.unique(np.concatenate([[t_lo, t_hi],
                                        lam[(lam > t_lo) & (lam < t_hi)]]))
-    evals = errors_at_cutoffs(eigsys, f, p, breaks[:-1], cache)
+    evals = [r.error for r in errors_at_cutoffs(eigsys, f, p, breaks[:-1], cache)]
     expo = alpha / 2.0
     if np.isinf(q):
         sup = 0.0
@@ -191,26 +189,33 @@ def a_norm_continuous(eigsys: EigenSystem, f: GridFunction, alpha: float,
 
 def besov_report(eigsys: EigenSystem, f: GridFunction, params: BesovParams,
                  family: FilterFamily | None = None,
-                 errors: list[float] | None = None) -> NormReport:
+                 cache: ErrorCache | None = None) -> NormReport:
     """A-norm and Littlewood-Paley comparator side by side, with their ratio."""
-    rep = a_norm(eigsys, f, params, errors=errors)
+    rep = a_norm(eigsys, f, params, cache)
     comp = lp_comparator_norm(eigsys, f, params, family=family)
     rep.comparator_norm = comp
     rep.ratio = rep.a_norm / comp if comp > 0 else float("inf")
     return rep
 
 
+def _bandlimited_coefficients(eigsys, f, tol):
+    """f's eigencoefficients, or None if they miss f by more than relative ``tol``."""
+    c = project(eigsys, f)
+    resid = f.values - synthesize(eigsys, c).values
+    scale = max(float(np.abs(f.values).max()), 1e-300)
+    return c if float(np.abs(resid).max()) <= tol * scale else None
+
+
 def is_bandlimited(eigsys: EigenSystem, f: GridFunction, tol: float = 1e-8) -> bool:
     """Whether f is reproduced by its eigenexpansion to relative ``tol``."""
-    resid = f.values - synthesize(eigsys, project(eigsys, f)).values
-    scale = max(float(np.abs(f.values).max()), 1e-300)
-    return float(np.abs(resid).max()) <= tol * scale
+    return _bandlimited_coefficients(eigsys, f, tol) is not None
 
 
 def _require_bandlimited(eigsys, f, tol=1e-8):
-    if not is_bandlimited(eigsys, f, tol):
+    c = _bandlimited_coefficients(eigsys, f, tol)
+    if c is None:
         raise ValueError("function is not bandlimited in this eigensystem")
-    return project(eigsys, f)
+    return c
 
 
 def sobolev_norm(eigsys: EigenSystem, f: GridFunction, k: int, p: float) -> float:
@@ -248,7 +253,7 @@ def lp_comparator_norm(eigsys: EigenSystem, f: GridFunction,
 
 
 def jackson_ratios(eigsys: EigenSystem, f: GridFunction, k: int, p: float,
-                   J: int, errors: list[float] | None = None) -> list[float]:
+                   J: int, cache: ErrorCache | None = None) -> list[float]:
     """Normalized Jackson ratios 2^(jk) E(f, 4^j, p) / ||L^(k/2) f||_p.
 
     Uses the cutoff-exponent normalization omega^(k/2) with omega = 2^(2j);
@@ -258,10 +263,8 @@ def jackson_ratios(eigsys: EigenSystem, f: GridFunction, k: int, p: float,
     c = _require_bandlimited(eigsys, f)
     rough = synthesize(eigsys, apply_power(eigsys, c, k / 2.0))
     denom = lp_norm(model, rough, p)
-    if errors is None:
-        errors = [r.error for r in error_sequence(model, eigsys, f, p, J)]
-    if len(errors) != J + 1:
-        raise ValueError("need one error per level j = 0..J")
+    errors = [r.error for r in errors_at_cutoffs(
+        eigsys, f, p, [4.0 ** j for j in range(J + 1)], cache)]
     floor = 1e-12 * max(lp_norm(model, f, p), 1e-300)
     if denom <= floor:
         # essentially constant f: errors must vanish too (up to roundoff)

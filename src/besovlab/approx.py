@@ -72,7 +72,7 @@ def best_approx(model: ManifoldModel, eigsys: EigenSystem, f: GridFunction,
     """
     if eigsys.model is not model or f.model is not model:
         raise ValueError("model, eigensystem and function must match")
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must satisfy 1 <= p <= inf")
     if omega > eigsys.band_limit:
         raise ValueError(
@@ -186,10 +186,3 @@ def _check_status(res):
         raise RuntimeError(
             f"HiGHS linear program failed (status {res.status}): {res.message}")
 
-
-def error_sequence(model: ManifoldModel, eigsys: EigenSystem, f: GridFunction,
-                   p: float, J: int) -> list[ApproxResult]:
-    """Best-approximation solves at the dyadic cutoffs omega = 4^j, j = 0..J."""
-    if 4.0 ** J > eigsys.band_limit:
-        raise ValueError("4^J exceeds the computed band limit")
-    return [best_approx(model, eigsys, f, 4.0 ** j, p) for j in range(J + 1)]

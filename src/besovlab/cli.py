@@ -58,7 +58,10 @@ DEFAULTS = {
     "out": "besovlab-out",
 }
 
-_LIST_KEYS = {"alpha", "p", "q"}
+# admissible values of each parameter grid; NaN fails every comparison
+_GRID_RULES = {"alpha": (lambda v: 0 < v < float("inf"), "positive and finite"),
+               "p": (lambda v: v >= 1, "at least 1 (inf allowed)"),
+               "q": (lambda v: v > 0, "positive (inf allowed)")}
 _INT_KEYS = {"nodes", "k", "jmax", "seed", "trials"}
 
 
@@ -93,7 +96,7 @@ def parse_config_file(path) -> dict:
 def _coerce(key: str, val):
     if val is None or not isinstance(val, str):
         return val
-    if key in _LIST_KEYS:
+    if key in _GRID_RULES:
         return [_parse_scalar(t) for t in val.split(",") if t.strip()]
     if key in _INT_KEYS:
         return int(val)
@@ -113,9 +116,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
             cfg[key] = _coerce(key, flag) if isinstance(flag, str) else flag
     if cfg["manifold"] not in ("circle", "torus2", "sphere2", "mesh"):
         raise ConfigError(f"unknown manifold {cfg['manifold']!r}")
-    for key in _LIST_KEYS:
+    for key, (admissible, rule) in _GRID_RULES.items():
         if not cfg[key]:
             raise ConfigError(f"parameter grid {key!r} is empty")
+        for v in cfg[key]:
+            if not admissible(v):
+                raise ConfigError(f"parameter grid {key!r} holds {v}; "
+                                  f"values must be {rule}")
     if cfg["manifold"] == "mesh":
         if not cfg["mesh"]:
             raise ConfigError("mesh manifold needs --mesh <path>")
@@ -209,7 +216,7 @@ class Report:
 # ---------------------------------------------------------------------------
 # experiments
 
-def run_spectrum(cfg, model, eigsys, outdir, report: Report):
+def run_spectrum(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
     dev = check_orthonormality(eigsys)
     tol = 1e-8 if model.kind == "mesh" else 1e-10
     report.check("spectrum.orthonormality", dev < tol, dev, tol)
@@ -220,7 +227,7 @@ def run_spectrum(cfg, model, eigsys, outdir, report: Report):
     save_eigensystem(eigsys, os.path.join(outdir, "eigensystem.json"))
 
 
-def run_filters(cfg, model, eigsys, outdir, report: Report):
+def run_filters(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
     fam = make_filter_family(cfg["k"])
     J = 5
     grid = np.linspace(0.0, 4.0 ** J, 10001)
@@ -233,7 +240,7 @@ def run_filters(cfg, model, eigsys, outdir, report: Report):
     write_table(outdir, "filters", ["lambda"] + [f"F{j}" for j in range(J + 1)], rows)
 
 
-def run_kernel_decay(cfg, model, eigsys, outdir, report: Report):
+def run_kernel_decay(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
     fam = make_filter_family(cfg["k"])
     n_dim = model.dim
     # scales 2^-j, 0 < t <= 1, whose filter band the eigensystem covers
@@ -247,7 +254,7 @@ def run_kernel_decay(cfg, model, eigsys, outdir, report: Report):
     for t in t_list:
         t0 = time.perf_counter()
         kern = build_kernel(eigsys, fam.F, t, "F")
-        fit = fit_decay_constant(model, kern, t, N)
+        fit = fit_decay_constant(kern, N)
         runtimes.append(1000.0 * (time.perf_counter() - t0))
         fits.append(fit)
         rows.append([fit.t, fit.N, fit.C, fit.max_abs_kernel,
@@ -274,8 +281,7 @@ def run_kernel_decay(cfg, model, eigsys, outdir, report: Report):
     write_table(outdir, "operator_norms", ["p", "t", "estimate"], norm_rows)
 
 
-def run_approx(cfg, model, eigsys, outdir, report: Report, cache=None):
-    cache = ErrorCache() if cache is None else cache
+def run_approx(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
     entries = corpus_mod.default_corpus(model.kind)
     corpus_mod.write_manifest(os.path.join(outdir, "corpus_manifest.json"), entries)
     cutoffs = [4.0 ** j for j in range(cfg["jmax"] + 1)]
@@ -283,7 +289,7 @@ def run_approx(cfg, model, eigsys, outdir, report: Report, cache=None):
     for entry in entries:
         f = entry.build(model, eigsys)
         for p in cfg["p"]:
-            errs = errors_at_cutoffs(eigsys, f, p, cutoffs, cache)
+            errs = [r.error for r in errors_at_cutoffs(eigsys, f, p, cutoffs, cache)]
             mono = all(errs[i + 1] <= errs[i] + 1e-9 for i in range(len(errs) - 1))
             report.check(f"approx.monotone[{entry.id},p={p:g}]", mono,
                          None, None)
@@ -303,20 +309,18 @@ def run_approx(cfg, model, eigsys, outdir, report: Report, cache=None):
                                  -slope, entry.expected_rate,
                                  note="coarse-scale gate; library tests pin 0.1")
     write_table(outdir, "approx_errors", ["id", "j", "omega", "p", "error"], rows)
-    return cache
 
 
-def run_jackson(cfg, model, eigsys, outdir, report: Report, cache=None):
-    cache = ErrorCache() if cache is None else cache
+def run_jackson(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
     k = cfg["k"]
     entry = corpus_mod.lacunary(2.0, max(3, min(6, cfg["jmax"] + 2))) \
         if model.kind == "circle" else corpus_mod.random_bandlimited(4.0, cfg["seed"])
     f = entry.build(model, eigsys)
     rows = []
     for p in cfg["p"]:
-        errs = errors_at_cutoffs(eigsys, f, p,
-                                 [4.0 ** j for j in range(cfg["jmax"] + 1)], cache)
-        ratios = jackson_ratios(eigsys, f, k, p, cfg["jmax"], errors=errs)
+        ratios = jackson_ratios(eigsys, f, k, p, cfg["jmax"], cache)
+        errs = [r.error for r in errors_at_cutoffs(
+            eigsys, f, p, [4.0 ** j for j in range(cfg["jmax"] + 1)], cache)]
         # levels already resolved to roundoff carry no rate information
         floor = 1e-12 * max(lp_norm(model, f, p), 1e-300)
         pos = [r for r, e in zip(ratios, errs) if r > 0 and e > floor]
@@ -325,10 +329,9 @@ def run_jackson(cfg, model, eigsys, outdir, report: Report, cache=None):
         for j, r in enumerate(ratios):
             rows.append([entry.id, p, j, r])
     write_table(outdir, "jackson", ["id", "p", "j", "ratio"], rows)
-    return cache
 
 
-def run_bernstein(cfg, model, eigsys, outdir, report: Report):
+def run_bernstein(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
     from .spectrum import CoefVector, synthesize
     k = cfg["k"]
     rng = np.random.default_rng(cfg["seed"])
@@ -355,7 +358,7 @@ def run_bernstein(cfg, model, eigsys, outdir, report: Report):
     write_table(outdir, "bernstein", ["p", "omega", "max_ratio"], rows)
 
 
-def run_young(cfg, model, eigsys, outdir, report: Report):
+def run_young(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
     rng = np.random.default_rng(cfg["seed"])
     n = model.n_nodes
     rows = []
@@ -371,7 +374,7 @@ def run_young(cfg, model, eigsys, outdir, report: Report):
             alpha = float(rng.uniform(1.0, min(4.0, p / (p - 1.0)) if p > 1 else 4.0))
             inv_q = 1.0 / p + 1.0 / alpha - 1.0
             q = float("inf") if inv_q <= 1e-12 else 1.0 / inv_q
-        lhs, rhs = young_apply_check(model, kern, f, p, q, alpha)
+        lhs, rhs = young_apply_check(kern, f, p, q, alpha)
         worst = max(worst, lhs - rhs)
         rows.append([trial, p, q, alpha, lhs, rhs, lhs - rhs])
     report.check("young.inequality", worst <= 1e-12, worst, 1e-12,
@@ -379,11 +382,9 @@ def run_young(cfg, model, eigsys, outdir, report: Report):
     write_table(outdir, "young", ["trial", "p", "q", "alpha", "lhs", "rhs", "slack"], rows)
 
 
-def run_besov(cfg, model, eigsys, outdir, report: Report, cache=None):
-    cache = ErrorCache() if cache is None else cache
+def run_besov(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
     entries = corpus_mod.default_corpus(model.kind)
     J = cfg["jmax"]
-    cutoffs = [4.0 ** j for j in range(J + 1)]
     summaries = []
     rows = []
     ratios = []
@@ -392,8 +393,7 @@ def run_besov(cfg, model, eigsys, outdir, report: Report, cache=None):
         f = entry.build(model, eigsys)
         jackson_max = bernstein_max = None
         if is_bandlimited(eigsys, f):
-            jerrs = errors_at_cutoffs(eigsys, f, 2.0, cutoffs, cache)
-            jr = jackson_ratios(eigsys, f, k, 2.0, J, errors=jerrs)
+            jr = jackson_ratios(eigsys, f, k, 2.0, J, cache)
             jackson_max = max(jr)
             # the function's own cutoff: largest eigenvalue carrying content
             coefs = np.abs(project(eigsys, f).coefficients)
@@ -403,10 +403,9 @@ def run_besov(cfg, model, eigsys, outdir, report: Report, cache=None):
                 bernstein_max = bernstein_ratio(eigsys, f, k, 2.0, own_band)
         for alpha in cfg["alpha"]:
             for p in cfg["p"]:
-                errs = errors_at_cutoffs(eigsys, f, p, cutoffs, cache)
                 for q in cfg["q"]:
                     params = BesovParams(alpha=alpha, p=p, q=q, J=J)
-                    rep = besov_report(eigsys, f, params, errors=errs)
+                    rep = besov_report(eigsys, f, params, cache=cache)
                     ratios.append(rep.ratio)
                     rows.append([entry.id, alpha, p, q, rep.a_norm,
                                  rep.comparator_norm, rep.ratio])
@@ -429,8 +428,7 @@ def run_besov(cfg, model, eigsys, outdir, report: Report, cache=None):
         f = entry.build(model, eigsys)
         for alpha in cfg["alpha"]:
             params = BesovParams(alpha=alpha, p=2.0, q=2.0, J=J)
-            errs = errors_at_cutoffs(eigsys, f, 2.0, cutoffs, cache)
-            rep = a_norm(eigsys, f, params, errors=errs)
+            rep = a_norm(eigsys, f, params, cache)
             cont = a_norm_continuous(eigsys, f, alpha, 2.0, 2.0, t_grid, cache)
             ratio = rep.a_norm / cont
             ok = 1.0 / 8.0 <= ratio <= 8.0
@@ -445,7 +443,6 @@ def run_besov(cfg, model, eigsys, outdir, report: Report, cache=None):
                 ["id", "alpha", "p", "q", "a_norm", "comparator", "ratio"], rows)
     _atomic_write(os.path.join(outdir, "besov_report.json"),
                   json.dumps(_jsonable(summaries), indent=2))
-    return cache
 
 
 EXPERIMENTS = {
@@ -499,11 +496,7 @@ def main(argv=None) -> int:
     cache = ErrorCache()
     try:
         for name in names:
-            fn = EXPERIMENTS[name]
-            if name in ("approx", "jackson", "besov"):
-                fn(cfg, model, eigsys, outdir, report, cache)
-            else:
-                fn(cfg, model, eigsys, outdir, report)
+            EXPERIMENTS[name](cfg, model, eigsys, outdir, report, cache)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -182,7 +182,7 @@ def lp_norm(model: ManifoldModel, f: GridFunction, p: float) -> float:
     """Quadrature L_p norm: (sum_i w_i |f_i|^p)^(1/p), node max for p=inf."""
     if f.model is not model:
         raise ValueError("grid function does not live on this model")
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must satisfy 1 <= p <= inf")
     return _weighted_norm(model.weights, f.values, p)
 

@@ -73,14 +73,15 @@ def build_kernel(eigsys: EigenSystem, G, t: float, descr: str = "") -> KernelMat
     return KernelMatrix(eigsys.model, k, float(t), descr)
 
 
-def apply_kernel(model: ManifoldModel, K: KernelMatrix, f: GridFunction) -> GridFunction:
+def apply_kernel(K: KernelMatrix, f: GridFunction) -> GridFunction:
     """Quadrature action (Kf)(x_i) = sum_j w_j K(x_i, x_j) f(x_j)."""
-    if f.model is not model or K.model is not model:
-        raise ValueError("kernel, function and model must match")
+    model = K.model
+    if f.model is not model:
+        raise ValueError("kernel and function must share a model")
     return GridFunction(model, K.matrix @ (model.weights * f.values))
 
 
-def kernel_alpha_norms(model: ManifoldModel, K: KernelMatrix, alpha: float):
+def kernel_alpha_norms(K: KernelMatrix, alpha: float):
     """Max over rows / over columns of the quadrature alpha-norm of the kernel.
 
     Returns (max_x ||K(x,.)||_alpha, max_y ||K(.,y)||_alpha).
@@ -90,8 +91,9 @@ def kernel_alpha_norms(model: ManifoldModel, K: KernelMatrix, alpha: float):
     a = np.abs(K.matrix)
     if np.isinf(alpha):
         return float(a.max(axis=1).max()), float(a.max(axis=0).max())
-    row = (a ** alpha @ model.weights) ** (1.0 / alpha)
-    col = (model.weights @ a ** alpha) ** (1.0 / alpha)
+    w = K.model.weights
+    row = (a ** alpha @ w) ** (1.0 / alpha)
+    col = (w @ a ** alpha) ** (1.0 / alpha)
     return float(row.max()), float(col.max())
 
 
@@ -107,8 +109,8 @@ def _inv(p: float) -> float:
     return 0.0 if np.isinf(p) else 1.0 / p
 
 
-def young_apply_check(model: ManifoldModel, K: KernelMatrix, f: GridFunction,
-                      p: float, q: float, alpha: float):
+def young_apply_check(K: KernelMatrix, f: GridFunction, p: float, q: float,
+                      alpha: float):
     """Check ||Kf||_q <= C ||f||_p with C the larger kernel alpha-norm.
 
     Requires the Young exponent relation 1/q + 1 = 1/p + 1/alpha. Returns
@@ -116,20 +118,19 @@ def young_apply_check(model: ManifoldModel, K: KernelMatrix, f: GridFunction,
     """
     if abs(_inv(q) + 1.0 - _inv(p) - _inv(alpha)) > 1e-12:
         raise ValueError("exponents must satisfy 1/q + 1 = 1/p + 1/alpha")
-    row, col = kernel_alpha_norms(model, K, alpha)
-    c = max(row, col)
-    lhs = lp_norm(model, apply_kernel(model, K, f), q)
-    rhs = c * lp_norm(model, f, p)
+    row, col = kernel_alpha_norms(K, alpha)
+    lhs = lp_norm(K.model, apply_kernel(K, f), q)
+    rhs = max(row, col) * lp_norm(K.model, f, p)
     return lhs, rhs
 
 
-def fit_decay_constant(model: ManifoldModel, K: KernelMatrix, t: float,
-                       N: float) -> DecayFit:
-    """Grid-exact minimal constant in |K| <= C t^-n (1 + d/t)^-N.
+def fit_decay_constant(K: KernelMatrix, N: float) -> DecayFit:
+    """Grid-exact minimal constant in |K| <= C t^-n (1 + d/t)^-N at t = K.t.
 
     N must exceed the manifold dimension for the bound to carry its usual
     meaning; the fit itself works for any N.
     """
+    model, t = K.model, K.t
     if N <= model.dim:
         raise ValueError("decay exponent N must exceed the dimension")
     d = model.distance_matrix()

@@ -9,7 +9,7 @@ from scipy.optimize import minimize_scalar
 
 from besovlab.analysis import (BesovParams, ErrorCache, a_norm,
                                a_norm_continuous, bernstein_ratio,
-                               errors_at_cutoffs, jackson_ratios,
+                               jackson_ratios,
                                k_functional_quadratic, lp_comparator_norm)
 from besovlab.approx import best_approx
 from besovlab.corpus import default_corpus, lacunary, square_wave
@@ -147,7 +147,7 @@ def test_criterion_7_kernel_decay_and_volume(circle512, circle512_es, sphere16):
     for j in range(2, 7):
         t = 2.0 ** (-j)
         kern = build_kernel(es, FAM.F, t, "F")
-        cs.append(fit_decay_constant(circle512, kern, t, 3.0).C)
+        cs.append(fit_decay_constant(kern, 3.0).C)
     c_ratio = max(cs) / min(cs)
     vol_c = [weighted_decay_integral(circle512, 2.0 ** (-j), 3.0)
              for j in range(1, 7)]
@@ -181,7 +181,7 @@ def test_criterion_8_young(circle512):
             alpha = float(rng.uniform(1.0, min(4.0, p / (p - 1.0)) if p > 1 else 4.0))
             inv_q = 1.0 / p + 1.0 / alpha - 1.0
             q = np.inf if inv_q <= 1e-12 else 1.0 / inv_q
-        lhs, rhs = young_apply_check(circle512, kern, f, p, q, alpha)
+        lhs, rhs = young_apply_check(kern, f, p, q, alpha)
         worst = max(worst, lhs - rhs)
     _report("criterion 8 (Young inequality)", worst <= 1e-12,
             f"max lhs-rhs over 100 trials {worst:.3e} (slack >= -1e-12)")
@@ -205,16 +205,14 @@ def test_criterion_10_norm_equivalence(circle512_es_1024):
     es = circle512_es_1024
     cache = ErrorCache()
     J = 5
-    cutoffs = [4.0 ** j for j in range(J + 1)]
     worst_c = 1.0
     for entry in default_corpus("circle"):
         f = entry.build(es.model, es)
         for alpha in (0.5, 1.0):
             for p in (1.0, 2.0, np.inf):
-                errs = errors_at_cutoffs(es, f, p, cutoffs, cache)
                 for q in (1.0, 2.0, np.inf):
                     params = BesovParams(alpha=alpha, p=p, q=q, J=J)
-                    rep = a_norm(es, f, params, errors=errs)
+                    rep = a_norm(es, f, params, cache)
                     comp = lp_comparator_norm(es, f, params)
                     ratio = rep.a_norm / comp
                     worst_c = max(worst_c, ratio, 1.0 / ratio)
@@ -225,9 +223,7 @@ def test_criterion_10_norm_equivalence(circle512_es_1024):
         f = entry.build(es.model, es)
         for alpha in (0.5, 1.0):
             for q in (1.0, 2.0, np.inf):
-                errs = errors_at_cutoffs(es, f, 2.0, cutoffs, cache)
-                rep = a_norm(es, f, BesovParams(alpha=alpha, p=2.0, q=q, J=J),
-                             errors=errs)
+                rep = a_norm(es, f, BesovParams(alpha=alpha, p=2.0, q=q, J=J), cache)
                 cont = a_norm_continuous(es, f, alpha, 2.0, q, t_grid, cache)
                 ratio = rep.a_norm / cont
                 worst_cont = max(worst_cont, ratio, 1.0 / ratio)

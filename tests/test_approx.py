@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from besovlab.approx import LP_TOL, best_approx, error_sequence
+from besovlab.analysis import errors_at_cutoffs
+from besovlab.approx import LP_TOL, best_approx
 from besovlab.cli import write_table
 from besovlab.corpus import lacunary, square_wave
 from besovlab.manifold import GridFunction, build_circle, lp_norm
@@ -161,18 +162,22 @@ class TestStructuralInvariants:
             best_approx(es.model, es, f, 4.0, 0.9)
 
 
+def dyadic(J):
+    return [4.0 ** j for j in range(J + 1)]
+
+
 class TestErrorSequence:
     def test_bandlimited_hits_zero(self, circle1024_es, rng):
         es = circle1024_es
         f = random_band(es, rng, es.cutoff_index(1.0))
-        results = error_sequence(es.model, es, f, 2.0, 4)
+        results = errors_at_cutoffs(es, f, 2.0, dyadic(4))
         assert all(r.error < 1e-10 for r in results)
 
     def test_pure_eigenfunction_step(self, circle1024_es):
         es = circle1024_es
         l = es.index_of(("cos", 3))  # lambda = 9
         f = GridFunction(es.model, es.eigenfunctions[:, l].copy())
-        results = error_sequence(es.model, es, f, 2.0, 3)
+        results = errors_at_cutoffs(es, f, 2.0, dyadic(3))
         errs = [r.error for r in results]
         # ||f||_2 = 1 until 4^j >= 9, then zero
         assert errs[0] == pytest.approx(1.0, abs=1e-10)
@@ -182,13 +187,13 @@ class TestErrorSequence:
     def test_rejects_level_beyond_band(self, circle1024_es):
         es = circle1024_es
         f = GridFunction(es.model, np.ones(es.model.n_nodes))
-        with pytest.raises(ValueError):
-            error_sequence(es.model, es, f, 2.0, 12)
+        with pytest.raises(ValueError, match="exceeds the computed band"):
+            errors_at_cutoffs(es, f, 2.0, dyadic(12))
 
     def test_csv_roundtrip(self, tmp_path, circle1024_es, rng):
         es = circle1024_es
         f = random_band(es, rng, 9)
-        results = error_sequence(es.model, es, f, 2.0, 3)
+        results = errors_at_cutoffs(es, f, 2.0, dyadic(3))
         rows = [[j, r.omega, r.p, r.error, r.iterations, int(r.converged)]
                 for j, r in enumerate(results)]
         write_table(str(tmp_path), "errors",
@@ -196,7 +201,12 @@ class TestErrorSequence:
         lines = (tmp_path / "errors.csv").read_text().strip().splitlines()
         assert lines[0] == "j,omega,p,error,iterations,converged"
         assert len(lines) == 5
-        assert float(lines[1].split(",")[3]) == pytest.approx(results[0].error)
+        for line, r, omega in zip(lines[1:], results, dyadic(3)):
+            cells = line.split(",")
+            assert float(cells[1]) == r.omega == omega
+            assert float(cells[3]) == pytest.approx(r.error)
+            assert int(cells[4]) == r.iterations
+            assert int(cells[5]) == int(r.converged) == 1
 
 
 class TestOtherManifolds:

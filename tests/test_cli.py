@@ -54,6 +54,26 @@ class TestConfig:
                         "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--p", "nan"), ("--p", "2,nan"), ("--p", "0.5"),
+        ("--q", "nan"), ("--q", "0"),
+        ("--alpha", "nan"), ("--alpha", "-1"), ("--alpha", "inf")])
+    def test_bad_grid_value_is_config_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        code = run_cli(["besov", "--nodes", "128", "--jmax", "2", flag, value,
+                        "--out", str(out)])
+        assert code == 2
+        assert f"parameter grid '{flag[2:]}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_grid_value_in_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("p = 1, nan\n")
+        code = run_cli(["approx", "--config", str(cfg),
+                        "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "parameter grid 'p' holds nan" in capsys.readouterr().err
+
 
 class TestSubcommands:
     def test_filters_passes_and_writes_outputs(self, tmp_path, capsys):

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from besovlab.approx import best_approx, error_sequence
+from besovlab.analysis import errors_at_cutoffs
+from besovlab.approx import best_approx
 from besovlab.corpus import (default_corpus, eigen_pure, lacunary,
                              lacunary_l2_error, manifest, random_bandlimited,
                              square_wave, square_wave_l2_error, write_manifest)
@@ -146,8 +147,8 @@ class TestCorpusContracts:
             if entry.expected_rate is None:
                 continue
             f = entry.build(circle2048, circle2048_es)
-            errs = [r.error for r in
-                    error_sequence(circle2048, circle2048_es, f, 2.0, 6)]
+            errs = [r.error for r in errors_at_cutoffs(
+                circle2048_es, f, 2.0, [4.0 ** j for j in range(7)])]
             keep = [(j, e) for j, e in enumerate(errs) if e > 1e-12]
             # the last nonzero level of a finite sum is truncation-dominated
             # (the closed form itself puts the full fit outside 0.1 for

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besovlab.filters import check_partition, make_bump, make_filter_family
 
@@ -125,3 +127,13 @@ class TestPartition:
         fam = make_filter_family(2)
         with pytest.raises(ValueError, match="certified range"):
             check_partition(fam, 2, np.array([4.0 ** 4]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(J=st.integers(0, 9), frac=st.floats(0.0, 1.0))
+    def test_partition_of_unity_property(self, J, frac):
+        # every lambda in [0, 4^J]: the F_j (j <= J) sum to 1 and each lies in [0, 1]
+        fam = make_filter_family(2)
+        lam = frac * 4.0 ** J
+        vals = [fam.f_j(j, lam) for j in range(J + 1)]
+        assert all(0.0 <= v <= 1.0 for v in vals)
+        assert abs(sum(vals) - 1.0) <= 1e-12

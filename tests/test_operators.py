@@ -75,7 +75,7 @@ class TestBuildKernel:
         for _ in range(5):
             f = random_bandlimited(es, rng, es.n_eigen)
             via_coeffs = apply_filter(es, FAM.F, 0.25, f)
-            via_kernel = apply_kernel(es.model, k, f)
+            via_kernel = apply_kernel(k, f)
             assert np.abs(via_coeffs.values - via_kernel.values).max() < 1e-10
 
 
@@ -83,11 +83,11 @@ class TestAlphaNorms:
     def test_zero_kernel(self, circle512_es_1024):
         es = circle512_es_1024
         k = KernelMatrix(es.model, np.zeros((512, 512)), 1.0, "zero")
-        assert kernel_alpha_norms(es.model, k, 1.0) == (0.0, 0.0)
+        assert kernel_alpha_norms(k, 1.0) == (0.0, 0.0)
 
     def test_symmetric_row_equals_column(self, circle512_es_1024):
         k = build_kernel(circle512_es_1024, FAM.F, 0.25, "F")
-        row, col = kernel_alpha_norms(circle512_es_1024.model, k, 3.0)
+        row, col = kernel_alpha_norms(k, 3.0)
         assert row == pytest.approx(col, abs=1e-12)
 
     def test_alpha_one_regression(self, circle512):
@@ -95,13 +95,13 @@ class TestAlphaNorms:
         # recorded value from the frozen filter family
         es = build_eigensystem(circle512, 65025.0)
         k = build_kernel(es, FAM.F, 0.25, "F")
-        row, _ = kernel_alpha_norms(circle512, k, 1.0)
+        row, _ = kernel_alpha_norms(k, 1.0)
         assert row == pytest.approx(1.5914196287866385, rel=1e-10)
 
     def test_rejects_alpha_below_one(self, circle512_es_1024):
         k = build_kernel(circle512_es_1024, FAM.F, 0.25, "F")
         with pytest.raises(ValueError):
-            kernel_alpha_norms(circle512_es_1024.model, k, 0.5)
+            kernel_alpha_norms(k, 0.5)
 
 
 class TestYoung:
@@ -109,7 +109,7 @@ class TestYoung:
         es = circle512_es_1024
         k = KernelMatrix(es.model, np.zeros((512, 512)), 1.0, "zero")
         f = GridFunction(es.model, np.ones(512))
-        lhs, rhs = young_apply_check(es.model, k, f, 2.0, 2.0, 1.0)
+        lhs, rhs = young_apply_check(k, f, 2.0, 2.0, 1.0)
         assert lhs == 0.0 and rhs == 0.0
 
     def test_convolution_case_random(self, rng):
@@ -120,7 +120,7 @@ class TestYoung:
             k = KernelMatrix(m, 0.5 * (mat + mat.T), 1.0, "rand")
             f = GridFunction(m, rng.standard_normal(64))
             p = float(rng.choice([1.0, 1.5, 2.0, 4.0, np.inf]))
-            lhs, rhs = young_apply_check(m, k, f, p, p, 1.0)
+            lhs, rhs = young_apply_check(k, f, p, p, 1.0)
             assert lhs <= rhs + 1e-12
 
     def test_p1_alpha_q_nonnegative(self, rng):
@@ -129,7 +129,7 @@ class TestYoung:
             k = KernelMatrix(m, np.abs(rng.standard_normal((64, 64))), 1.0, "pos")
             f = GridFunction(m, np.abs(rng.standard_normal(64)))
             q = float(rng.choice([1.0, 2.0, 3.0]))
-            lhs, rhs = young_apply_check(m, k, f, 1.0, q, q)
+            lhs, rhs = young_apply_check(k, f, 1.0, q, q)
             assert lhs <= rhs + 1e-12
 
     def test_rejects_bad_exponents(self, circle512_es_1024):
@@ -137,26 +137,49 @@ class TestYoung:
         k = build_kernel(es, FAM.F, 0.25, "F")
         f = GridFunction(es.model, np.ones(512))
         with pytest.raises(ValueError):
-            young_apply_check(es.model, k, f, 2.0, 3.0, 2.0)
+            young_apply_check(k, f, 2.0, 3.0, 2.0)
+
+
+class TestModelMatch:
+    def test_function_from_another_model_rejected(self, circle512_es_1024):
+        k = build_kernel(circle512_es_1024, FAM.F, 0.25, "F")
+        f = GridFunction(build_circle(512), np.ones(512))
+        with pytest.raises(ValueError, match="share a model"):
+            apply_kernel(k, f)
+        with pytest.raises(ValueError, match="share a model"):
+            young_apply_check(k, f, 2.0, 2.0, 1.0)
 
 
 class TestDecayFit:
     def test_zero_kernel(self, circle512_es_1024):
         es = circle512_es_1024
         k = KernelMatrix(es.model, np.zeros((512, 512)), 0.25, "zero")
-        fit = fit_decay_constant(es.model, k, 0.25, 3.0)
+        fit = fit_decay_constant(k, 3.0)
         assert fit.C == 0.0
 
     def test_larger_exponent_grows_constant(self, circle512_es_1024):
         k = build_kernel(circle512_es_1024, FAM.F, 0.25, "F")
-        c3 = fit_decay_constant(circle512_es_1024.model, k, 0.25, 3.0).C
-        c6 = fit_decay_constant(circle512_es_1024.model, k, 0.25, 6.0).C
+        c3 = fit_decay_constant(k, 3.0).C
+        c6 = fit_decay_constant(k, 6.0).C
         assert c6 >= c3
 
     def test_bound_holds_everywhere(self, circle512_es_1024):
         k = build_kernel(circle512_es_1024, FAM.F, 0.25, "F")
-        fit = fit_decay_constant(circle512_es_1024.model, k, 0.25, 3.0)
+        fit = fit_decay_constant(k, 3.0)
         assert fit.slack.min() >= -1e-12 * fit.C
+
+    @pytest.mark.parametrize("t", [0.125, 0.25])
+    def test_fits_at_the_kernel_scale(self, circle512_es_1024, t):
+        # the envelope is C t^-n (1 + d/t)^-N at the kernel's own t, and the
+        # minimal C makes it touch |K| somewhere
+        k = build_kernel(circle512_es_1024, FAM.F, t, "F")
+        fit = fit_decay_constant(k, 3.0)
+        assert fit.t == k.t == t
+        d = circle512_es_1024.model.distance_matrix()
+        envelope = t ** -1 * (1.0 + d / t) ** -3.0
+        assert np.allclose(fit.slack, fit.C * envelope - np.abs(k.matrix),
+                           rtol=0, atol=1e-12 * fit.C)
+        assert fit.slack.min() == pytest.approx(0.0, abs=1e-12 * fit.C)
 
     def test_uniformity_over_scales(self, circle512):
         es = build_eigensystem(circle512, 65025.0)
@@ -164,17 +187,17 @@ class TestDecayFit:
         for j in range(2, 7):
             t = 2.0 ** (-j)
             k = build_kernel(es, FAM.F, t, "F")
-            cs.append(fit_decay_constant(circle512, k, t, 3.0).C)
+            cs.append(fit_decay_constant(k, 3.0).C)
         assert max(cs) / min(cs) < 4.0
 
     def test_rejects_small_exponent(self, circle512_es_1024):
         k = build_kernel(circle512_es_1024, FAM.F, 0.25, "F")
         with pytest.raises(ValueError):
-            fit_decay_constant(circle512_es_1024.model, k, 0.25, 1.0)
+            fit_decay_constant(k, 1.0)
 
     def test_csv_export(self, tmp_path, circle512_es_1024):
         k = build_kernel(circle512_es_1024, FAM.F, 0.25, "F")
-        fit = fit_decay_constant(circle512_es_1024.model, k, 0.25, 3.0)
+        fit = fit_decay_constant(k, 3.0)
         write_table(str(tmp_path), "decay", ["t", "N", "C", "max_abs_K", "runtime_ms"],
                     [[fit.t, fit.N, fit.C, fit.max_abs_kernel, 12.0]])
         lines = (tmp_path / "decay.csv").read_text().strip().splitlines()
