@@ -6,7 +6,7 @@ approximation norms with their Jackson/Bernstein/Young verifiers.
 """
 
 from .analysis import (BesovParams, ErrorCache, NormReport, a_norm, a_norm_continuous,
-                       bernstein_ratio, besov_report, errors_at_cutoffs, interpolation_norm,
+                       bernstein_ratio, errors_at_cutoffs, interpolation_norm,
                        is_bandlimited, jackson_ratios, k_functional_quadratic,
                        lp_comparator_norm, sobolev_norm)
 from .approx import ApproxResult, best_approx

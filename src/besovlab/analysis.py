@@ -46,13 +46,11 @@ class BesovParams:
 
 @dataclass
 class NormReport:
-    """A-norm evaluation, optionally paired with the comparator norm."""
+    """A-norm evaluation: the total, its L_p part and its dyadic terms."""
 
     a_norm: float
     lp_part: float
     dyadic_tail_terms: list = field(default_factory=list)
-    comparator_norm: float | None = None
-    ratio: float | None = None
     tail_residual: float = 0.0
 
 
@@ -104,14 +102,14 @@ def _tail_residual(errors, params):
 
 
 class ErrorCache:
-    """Memo for best-approximation results across norm evaluations.
+    """Memo for the (f, p) sequences behind the Besov-type norms.
 
-    Keys on the content of a function: its model and a digest of its sample
-    values, with (p, omega). A function rebuilt with the same samples (every
-    experiment builds its own copy of the corpus) therefore hits the entries
-    of the first copy, and the cache holds no reference to any function. It
-    keeps each model it has seen, so a model's id is never reused while an
-    entry refers to it.
+    Keys on a function's model and a digest of its sample values, with p and
+    ``at``: a cutoff omega for a best-approximation result, or a
+    ``FilterFamily`` for the tuple of Littlewood-Paley block norms (a family
+    never equals a number). A function rebuilt with the same samples hits the
+    entries of the first copy, and no function is referenced. Each model seen
+    is kept, so its id is never reused while an entry refers to it.
     """
 
     def __init__(self):
@@ -119,17 +117,17 @@ class ErrorCache:
         self._models: dict = {}
 
     @staticmethod
-    def _key(f, p, omega):
+    def _key(f, p, at):
         vals = f.values
         digest = hashlib.sha256(vals.dtype.str.encode() + vals.tobytes()).digest()
-        return id(f.model), digest, float(p), float(omega)
+        return id(f.model), digest, float(p), at
 
-    def lookup(self, f, p, omega):
-        return self._vals.get(self._key(f, p, omega))
+    def lookup(self, f, p, at):
+        return self._vals.get(self._key(f, p, at))
 
-    def store(self, f, p, omega, value):
+    def store(self, f, p, at, value):
         self._models[id(f.model)] = f.model
-        self._vals[self._key(f, p, omega)] = value
+        self._vals[self._key(f, p, at)] = value
 
 
 def errors_at_cutoffs(eigsys: EigenSystem, f: GridFunction, p: float,
@@ -163,6 +161,10 @@ def a_norm_continuous(eigsys: EigenSystem, f: GridFunction, alpha: float,
     eigenvalue resolution therefore changes nothing; only its endpoints
     matter.
     """
+    if not 0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
+    if not q > 0:
+        raise ValueError("q must satisfy 0 < q <= inf")
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0):
         raise ValueError("t_grid must be positive")
@@ -185,17 +187,6 @@ def a_norm_continuous(eigsys: EigenSystem, f: GridFunction, alpha: float,
         if e > 0.0:
             total += e ** q * (b ** (expo * q) - a ** (expo * q)) / (expo * q)
     return lp_norm(model, f, p) + total ** (1.0 / q)
-
-
-def besov_report(eigsys: EigenSystem, f: GridFunction, params: BesovParams,
-                 family: FilterFamily | None = None,
-                 cache: ErrorCache | None = None) -> NormReport:
-    """A-norm and Littlewood-Paley comparator side by side, with their ratio."""
-    rep = a_norm(eigsys, f, params, cache)
-    comp = lp_comparator_norm(eigsys, f, params, family=family)
-    rep.comparator_norm = comp
-    rep.ratio = rep.a_norm / comp if comp > 0 else float("inf")
-    return rep
 
 
 def _bandlimited_coefficients(eigsys, f, tol):
@@ -228,28 +219,30 @@ def sobolev_norm(eigsys: EigenSystem, f: GridFunction, k: int, p: float) -> floa
 
 def lp_comparator_norm(eigsys: EigenSystem, f: GridFunction,
                        params: BesovParams,
-                       family: FilterFamily | None = None) -> float:
+                       family: FilterFamily | None = None,
+                       cache: ErrorCache | None = None) -> float:
     """Littlewood-Paley comparator: ||F_0(L)f||_p + l_q sum of scaled blocks.
 
     The filter bank is applied at unit scale, so block j covers eigenvalues
     in [4^(j-1), 16*4^(j-1)]; blocks beyond the band limit vanish identically
-    and the sum is finite without truncation error.
+    and the sum is finite without truncation error. The block norms depend
+    only on (f, p) and the family: each is computed once per ``cache``, and
+    (alpha, q) only re-weight them.
     """
     family = family or make_filter_family()
-    model = eigsys.model
-    lam = eigsys.eigenvalues
-    c = project(eigsys, f).coefficients
-    u = eigsys.eigenfunctions
-
-    def block_norm(j):
-        vals = u @ (c * family.f_j(j, lam))
-        return lp_norm(model, GridFunction(model, vals), params.p)
-
-    j_max = 1
-    while 4.0 ** (j_max - 1) <= eigsys.band_limit:
-        j_max += 1
-    terms = [2.0 ** (params.alpha * j) * block_norm(j) for j in range(1, j_max)]
-    return block_norm(0) + _q_sum(np.array(terms), params.q)
+    cache = ErrorCache() if cache is None else cache
+    blocks = cache.lookup(f, params.p, family)
+    if blocks is None:
+        model, lam, u = eigsys.model, eigsys.eigenvalues, eigsys.eigenfunctions
+        c = project(eigsys, f).coefficients
+        j_max = 1
+        while 4.0 ** (j_max - 1) <= eigsys.band_limit:
+            j_max += 1
+        blocks = tuple(lp_norm(model, GridFunction(model, u @ (c * family.f_j(j, lam))),
+                               params.p) for j in range(j_max))
+        cache.store(f, params.p, family, blocks)
+    terms = [2.0 ** (params.alpha * j) * blocks[j] for j in range(1, len(blocks))]
+    return blocks[0] + _q_sum(np.array(terms), params.q)
 
 
 def jackson_ratios(eigsys: EigenSystem, f: GridFunction, k: int, p: float,
@@ -328,6 +321,8 @@ def interpolation_norm(eigsys: EigenSystem, f: GridFunction, theta: float,
     """
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
+    if not q > 0:
+        raise ValueError("q must satisfy 0 < q <= inf")
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0):
         raise ValueError("t_grid must be positive")

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from .analysis import (BesovParams, ErrorCache, a_norm, a_norm_continuous,
-                       bernstein_ratio, besov_report, errors_at_cutoffs,
-                       interpolation_norm, is_bandlimited, jackson_ratios)
+                       bernstein_ratio, errors_at_cutoffs, interpolation_norm,
+                       is_bandlimited, jackson_ratios, lp_comparator_norm)
 from .filters import check_partition, make_filter_family
 from .manifold import (GridFunction, build_circle, build_sphere2, build_torus2,
                        lp_norm)
@@ -35,8 +35,8 @@ from .mesh import load_mesh
 from .operators import (KernelMatrix, build_kernel, fit_decay_constant,
                         operator_norm_estimate, weighted_decay_integral,
                         young_apply_check)
-from .spectrum import (build_eigensystem, check_orthonormality, project,
-                       save_eigensystem)
+from .spectrum import (CoefVector, build_eigensystem, check_orthonormality,
+                       project, save_eigensystem, synthesize)
 
 
 class ConfigError(Exception):
@@ -332,7 +332,6 @@ def run_jackson(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
 
 
 def run_bernstein(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
-    from .spectrum import CoefVector, synthesize
     k = cfg["k"]
     rng = np.random.default_rng(cfg["seed"])
     omegas = [w for w in (4.0, 16.0, 64.0) if w <= eigsys.band_limit]
@@ -383,16 +382,18 @@ def run_young(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
 
 
 def run_besov(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
-    entries = corpus_mod.default_corpus(model.kind)
     J = cfg["jmax"]
     summaries = []
     rows = []
     ratios = []
     k = cfg["k"]
-    for entry in entries:
+    funcs = []
+    for entry in corpus_mod.default_corpus(model.kind):
         f = entry.build(model, eigsys)
+        funcs.append((entry, f, is_bandlimited(eigsys, f)))
+    for entry, f, bandlimited in funcs:
         jackson_max = bernstein_max = None
-        if is_bandlimited(eigsys, f):
+        if bandlimited:
             jr = jackson_ratios(eigsys, f, k, 2.0, J, cache)
             jackson_max = max(jr)
             # the function's own cutoff: largest eigenvalue carrying content
@@ -405,16 +406,17 @@ def run_besov(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
             for p in cfg["p"]:
                 for q in cfg["q"]:
                     params = BesovParams(alpha=alpha, p=p, q=q, J=J)
-                    rep = besov_report(eigsys, f, params, cache=cache)
-                    ratios.append(rep.ratio)
-                    rows.append([entry.id, alpha, p, q, rep.a_norm,
-                                 rep.comparator_norm, rep.ratio])
+                    a = a_norm(eigsys, f, params, cache).a_norm
+                    comp = lp_comparator_norm(eigsys, f, params, cache=cache)
+                    ratio = a / comp if comp > 0 else float("inf")
+                    ratios.append(ratio)
+                    rows.append([entry.id, alpha, p, q, a, comp, ratio])
                     summaries.append({
                         "function_id": entry.id,
                         "params": {"alpha": alpha, "p": _fmt(p), "q": _fmt(q), "J": J},
-                        "a_norm": rep.a_norm,
-                        "comparator": rep.comparator_norm,
-                        "ratio": rep.ratio,
+                        "a_norm": a,
+                        "comparator": comp,
+                        "ratio": ratio,
                         "jackson_max_ratio": jackson_max,
                         "bernstein_max_ratio": bernstein_max,
                     })
@@ -424,8 +426,7 @@ def run_besov(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
     # continuous and interpolation norms vs the dyadic a-norm at p = 2
     t_grid = np.geomspace(1.0, 4.0 ** J, 33)
     kt_grid = np.geomspace(1e-4, 1.0, 120)
-    for entry in entries:
-        f = entry.build(model, eigsys)
+    for entry, f, bandlimited in funcs:
         for alpha in cfg["alpha"]:
             params = BesovParams(alpha=alpha, p=2.0, q=2.0, J=J)
             rep = a_norm(eigsys, f, params, cache)
@@ -434,7 +435,7 @@ def run_besov(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
             ok = 1.0 / 8.0 <= ratio <= 8.0
             report.check(f"besov.continuous[{entry.id},alpha={alpha:g}]",
                          ok, ratio, 8.0)
-            if 0 < alpha / k < 1 and is_bandlimited(eigsys, f):
+            if 0 < alpha / k < 1 and bandlimited:
                 inorm = interpolation_norm(eigsys, f, alpha / k, 2.0, k, kt_grid)
                 iratio = rep.a_norm / inorm
                 report.check(f"besov.interpolation[{entry.id},alpha={alpha:g}]",

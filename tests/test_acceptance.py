@@ -213,7 +213,7 @@ def test_criterion_10_norm_equivalence(circle512_es_1024):
                 for q in (1.0, 2.0, np.inf):
                     params = BesovParams(alpha=alpha, p=p, q=q, J=J)
                     rep = a_norm(es, f, params, cache)
-                    comp = lp_comparator_norm(es, f, params)
+                    comp = lp_comparator_norm(es, f, params, cache=cache)
                     ratio = rep.a_norm / comp
                     worst_c = max(worst_c, ratio, 1.0 / ratio)
     cont_ok = True

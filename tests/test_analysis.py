@@ -6,12 +6,13 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from besovlab.analysis import (BesovParams, ErrorCache, a_norm,
-                               a_norm_continuous, bernstein_ratio, besov_report,
+                               a_norm_continuous, bernstein_ratio,
                                errors_at_cutoffs, interpolation_norm,
                                is_bandlimited, jackson_ratios,
                                k_functional_quadratic, lp_comparator_norm,
                                sobolev_norm)
 from besovlab.corpus import default_corpus, lacunary
+from besovlab.filters import make_filter_family
 from besovlab.manifold import GridFunction, build_circle, lp_norm
 from besovlab.spectrum import CoefVector, build_eigensystem, synthesize
 
@@ -38,10 +39,31 @@ class TestBesovParams:
     def test_accepts_infinite_p_and_q(self):
         BesovParams(alpha=1.0, p=np.inf, q=np.inf, J=3)
 
+    @pytest.mark.parametrize("norm,bad", [
+        ("continuous", {"alpha": np.nan}), ("continuous", {"alpha": -1.0}),
+        ("continuous", {"alpha": 0.0}), ("continuous", {"alpha": np.inf}),
+        ("continuous", {"q": np.nan}), ("continuous", {"q": -1.0}),
+        ("continuous", {"q": 0.0}), ("interpolation", {"q": np.nan}),
+        ("interpolation", {"q": -1.0}), ("interpolation", {"q": 0.0})])
+    def test_norms_with_bare_alpha_q_apply_the_same_rules(self, norm, bad):
+        # a_norm_continuous and interpolation_norm take alpha and q as
+        # floats; a NaN or out-of-range value raises instead of returning
+        # NaN or a finite number
+        es = build_eigensystem(build_circle(128), 63.0 ** 2)
+        f = lacunary(1.0, 3).build(es.model, es)
+        args = dict(alpha=1.0, q=2.0) | bad
+        with pytest.raises(ValueError):
+            if norm == "continuous":
+                a_norm_continuous(es, f, args["alpha"], 2.0, args["q"],
+                                  np.geomspace(1.0, 64.0, 9))
+            else:
+                interpolation_norm(es, f, 0.5, args["q"], 2,
+                                   np.geomspace(1e-3, 1.0, 9))
+
 
 class TestSharedCache:
     def test_norms_share_each_solve(self, monkeypatch, rng):
-        # a_norm, jackson_ratios and besov_report on one cache: every
+        # a_norm, jackson_ratios and lp_comparator_norm on one cache: every
         # (p, omega) is solved once, and the p = 1 results keep their
         # LP certificate
         import besovlab.analysis as analysis
@@ -62,7 +84,9 @@ class TestSharedCache:
             params = BesovParams(alpha=1.0, p=p, q=2.0, J=3)
             rep = a_norm(es, f, params, cache)
             jackson_ratios(es, f, 2, p, 3, cache)
-            assert besov_report(es, f, params, cache=cache).a_norm == rep.a_norm
+            assert (lp_comparator_norm(es, f, params, cache=cache)
+                    == lp_comparator_norm(es, f, params))
+            assert a_norm(es, f, params, cache).a_norm == rep.a_norm
         assert len(solved) == len(set(solved)) == 8
         results = {p: errors_at_cutoffs(es, f, p, cutoffs, cache) for p in (1.0, 2.0)}
         assert len(solved) == 8
@@ -265,10 +289,50 @@ class TestComparatorNorm:
             f = entry.build(es.model, es)
             params = BesovParams(alpha=1.0, p=2.0, q=2.0, J=5)
             rep = a_norm(es, f, params, cache)
-            comp = lp_comparator_norm(es, f, params)
+            comp = lp_comparator_norm(es, f, params, cache=cache)
             ratio = rep.a_norm / comp
             worst = max(worst, ratio, 1.0 / ratio)
         assert worst < 50.0
+
+    def test_block_norms_read_once_per_p(self, circle512_es_1024, monkeypatch):
+        # the blocks ||F_j(L)f||_p depend only on (f, p): a 3x3 (alpha, q)
+        # grid on one cache projects f once per p, and every value equals
+        # the cache-less one exactly
+        import besovlab.analysis as analysis
+        es = circle512_es_1024
+        f = lacunary(1.0, 5).build(es.model, es)
+        projected = []
+        orig = analysis.project
+
+        def counting(eigsys, g):
+            projected.append(g)
+            return orig(eigsys, g)
+
+        ps = (1.0, 2.0, np.inf)
+        grid = [(alpha, q) for alpha in (0.5, 1.0, 1.5) for q in (1.0, 2.0, np.inf)]
+        expected = {p: [lp_comparator_norm(es, f, BesovParams(alpha, p, q, 5))
+                        for alpha, q in grid] for p in ps}
+        monkeypatch.setattr(analysis, "project", counting)
+        cache = ErrorCache()
+        for p in ps:
+            assert [lp_comparator_norm(es, f, BesovParams(alpha, p, q, 5), cache=cache)
+                    for alpha, q in grid] == expected[p]
+            assert len(projected) == 1
+            projected.clear()
+
+    def test_blocks_and_solves_share_a_cache_without_colliding(self, circle512_es_1024):
+        es = circle512_es_1024
+        f = lacunary(1.0, 4).build(es.model, es)
+        cache = ErrorCache()
+        params = BesovParams(alpha=1.0, p=2.0, q=2.0, J=2)
+        comp = lp_comparator_norm(es, f, params, cache=cache)
+        rep = a_norm(es, f, params, cache)
+        assert rep.a_norm >= rep.lp_part
+        assert a_norm(es, f, params).a_norm == rep.a_norm
+        assert lp_comparator_norm(es, f, params, cache=cache) == comp
+        blocks = cache.lookup(f, 2.0, make_filter_family())
+        assert isinstance(blocks, tuple) and len(blocks) > 1
+        assert cache.lookup(f, 2.0, 1.0).omega == 1.0
 
 
 class TestJacksonRatios:
@@ -429,17 +493,3 @@ class TestInterpolationNorm:
         f = random_band(es, rng, 5)
         with pytest.raises(ValueError):
             interpolation_norm(es, f, 1.5, 2.0, 2, np.geomspace(0.01, 1, 10))
-
-
-class TestBesovReport:
-    def test_fills_comparator_and_ratio(self, circle512_es_1024):
-        from besovlab.analysis import besov_report, lp_comparator_norm
-        es = circle512_es_1024
-        f = lacunary(1.0, 5).build(es.model, es)
-        params = BesovParams(alpha=1.0, p=2.0, q=2.0, J=5)
-        rep = besov_report(es, f, params)
-        assert rep.comparator_norm == pytest.approx(
-            lp_comparator_norm(es, f, params), rel=1e-12)
-        assert rep.ratio == pytest.approx(rep.a_norm / rep.comparator_norm,
-                                          rel=1e-12)
-        assert rep.a_norm >= rep.lp_part

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from besovlab.cli import ConfigError, main, parse_config_file, resolve_config
+from besovlab.corpus import default_corpus
 
 
 def run_cli(args):
@@ -127,6 +128,21 @@ class TestSubcommands:
         rows = json.loads((out / "besov_report.json").read_text())
         assert {"function_id", "params", "a_norm", "comparator",
                 "ratio"} <= set(rows[0])
+
+    def test_besov_ratio_is_a_norm_over_comparator(self, tmp_path):
+        out = tmp_path / "besov-out"
+        code = run_cli(["besov", "--nodes", "128", "--jmax", "2",
+                        "--alpha", "0.5,1", "--p", "1,2,inf", "--q", "1,inf",
+                        "--out", str(out)])
+        assert code == 0
+        with open(out / "besov.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        # corpus x alpha x p x q
+        assert len(rows) == len(default_corpus("circle")) * 2 * 3 * 2
+        for row in rows:
+            a, comp = float(row["a_norm"]), float(row["comparator"])
+            assert comp > 0
+            assert float(row["ratio"]) == a / comp
 
 
 class TestDeterminism:
