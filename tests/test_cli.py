@@ -5,6 +5,7 @@ import pytest
 
 from besovlab.cli import ConfigError, main, parse_config_file, resolve_config
 from besovlab.corpus import default_corpus
+from besovlab.mesh import icosphere, write_off
 
 
 def run_cli(args):
@@ -118,6 +119,21 @@ class TestSubcommands:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["passed"] is True
+
+    def test_mesh_spectrum_on_icosphere4(self, tmp_path):
+        # the benchmark's mesh-spectrum check: 2562 vertices, band 64
+        mesh = tmp_path / "icosphere4.off"
+        write_off(mesh, *icosphere(4))
+        out = tmp_path / "mesh-out"
+        code = run_cli(["spectrum", "--manifold", "mesh", "--mesh", str(mesh),
+                        "--band", "64", "--out", str(out)])
+        assert code == 0
+        with open(out / "spectrum.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 64
+        report = json.loads((out / "report.json").read_text())
+        checks = {a["name"]: a["passed"] for a in report["assertions"]}
+        assert checks["spectrum.orthonormality"] is True
+        assert checks["spectrum.lambda0"] is True
 
     def test_besov_emits_per_function_report(self, tmp_path):
         out = tmp_path / "besov-out"

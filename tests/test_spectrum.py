@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+from scipy.linalg import eigh
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
+from besovlab import spectrum
+from besovlab.cli import main
 from besovlab.manifold import GridFunction, build_circle, lp_norm
+from besovlab.mesh import cotangent_stiffness, icosphere, load_mesh, write_off
 from besovlab.spectrum import (CoefVector, apply_power, build_eigensystem,
                                check_orthonormality, load_eigensystem, project,
                                save_eigensystem, synthesize)
@@ -166,3 +174,146 @@ class TestJsonRoundTrip:
         save_eigensystem(circle1024_es, path)
         with pytest.raises(ValueError):
             load_eigensystem(path, build_circle(64))
+
+
+# -- mesh eigensolve against a dense oracle ---------------------------------
+
+def dense_oracle(model):
+    """Every eigenpair of S u = lam M u by scipy's dense generalized solver."""
+    stiff = cotangent_stiffness(model.nodes, model.faces).toarray()
+    return eigh(stiff, np.diag(model.weights))
+
+
+def assert_matches_oracle(es, oracle):
+    lam, vec = oracle
+    k = es.n_eigen
+    assert k == np.count_nonzero(lam <= es.band_limit)
+    assert es.eigenvalues[0] == 0.0
+    assert np.allclose(es.eigenvalues[1:], lam[1:k], rtol=1e-10, atol=0)
+    # the two bases span the same space: the cross-Gram matrix is orthogonal
+    cross = es.eigenfunctions.T @ (es.model.weights[:, None] * vec[:, :k])
+    assert np.linalg.svd(cross, compute_uv=False).min() >= 1 - 1e-10
+    assert check_orthonormality(es) < 1e-8
+
+
+@pytest.fixture(scope="module")
+def icospheres(tmp_path_factory, icosphere3):
+    models = {3: icosphere3}
+    for level in (1, 2):
+        path = tmp_path_factory.mktemp("meshes") / f"icosphere{level}.off"
+        write_off(path, *icosphere(level))
+        models[level] = load_mesh(path)
+    return models
+
+
+@pytest.fixture(scope="module")
+def oracles(icospheres):
+    return {level: dense_oracle(m) for level, m in icospheres.items()}
+
+
+def forbid(name):
+    def solver(*args, **kwargs):
+        raise AssertionError(f"{name} must not run here")
+    return solver
+
+
+class TestMeshEigensolve:
+    @pytest.mark.parametrize("level", [2, 3])
+    @pytest.mark.parametrize("band", [30.0, 64.0])
+    def test_matches_dense_oracle(self, icospheres, oracles, level, band):
+        es = build_eigensystem(icospheres[level], band)
+        assert_matches_oracle(es, oracles[level])
+
+    @settings(max_examples=30, deadline=None)
+    @given(band=st.floats(0.5, 80.0))
+    def test_never_splits_a_cluster(self, icospheres, oracles, band):
+        lam = oracles[2][0]
+        assume(abs(band - lam[-1]) > 1e-6 * lam[-1])
+        if band > lam[-1]:    # icosphere(2) tops out at 78.2
+            with pytest.raises(ValueError, match="cannot certify"):
+                build_eigensystem(icospheres[2], band)
+        else:
+            es = build_eigensystem(icospheres[2], band)
+            assert es.n_eigen == np.count_nonzero(lam <= band)
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_bands_at_cluster_edges(self, icospheres, oracles, level):
+        # the l(l+1) cluster holds oracle eigenvalues l^2 .. (l+1)^2 - 1
+        lam = oracles[level][0]
+        for l in range(9):
+            lo, hi = lam[l * l], lam[(l + 1) ** 2 - 1]
+            edges = [(hi + 1e-6 * max(1.0, hi), (l + 1) ** 2)]
+            if l > 0:
+                edges.append((lo * (1 - 1e-6), l * l))
+            for band, count in edges:
+                es = build_eigensystem(icospheres[level], band)
+                assert es.n_eigen == count, (l, band)
+
+    def test_small_band_never_runs_the_dense_solve(self, icospheres, oracles,
+                                                   monkeypatch):
+        monkeypatch.setattr(spectrum, "eigh", forbid("the dense solve"))
+        es = build_eigensystem(icospheres[3], 64.0)
+        assert_matches_oracle(es, oracles[3])
+
+    def test_grows_k_until_the_band_is_covered(self, icospheres, oracles,
+                                               monkeypatch):
+        asked = []
+
+        def counting(a, k, **kwargs):
+            asked.append(k)
+            return eigsh(a, k, **kwargs)
+
+        monkeypatch.setattr(spectrum, "_weyl_k", lambda area, band: 1)
+        monkeypatch.setattr(spectrum, "eigsh", counting)
+        es = build_eigensystem(icospheres[3], 30.0)
+        assert asked == [1, 2, 4, 8, 16, 32, 64]
+        assert_matches_oracle(es, oracles[3])
+
+    def test_bit_identical_across_builds(self, icospheres):
+        a = build_eigensystem(icospheres[3], 30.0)
+        # an unrelated solve advances ARPACK's own random start vector
+        eigsh(sparse.diags(np.arange(1.0, 101.0)), 3)
+        b = build_eigensystem(icospheres[3], 30.0)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenfunctions, b.eigenfunctions)
+
+    def test_full_band_takes_the_dense_fallback(self, icospheres, oracles,
+                                                monkeypatch):
+        monkeypatch.setattr(spectrum, "eigsh", forbid("the sparse solve"))
+        top = oracles[1][0][-1]
+        es = build_eigensystem(icospheres[1], top * (1 + 1e-10))
+        assert es.n_eigen == 42
+        assert_matches_oracle(es, oracles[1])
+
+    @pytest.mark.parametrize("factor", [
+        1.01,    # above the top eigenvalue, under the Gershgorin bound
+        10.0])   # above the Gershgorin bound
+    def test_band_above_the_spectrum_cannot_certify(self, icospheres, oracles,
+                                                    factor):
+        band = factor * oracles[1][0][-1]
+        with pytest.raises(ValueError, match="cannot certify"):
+            build_eigensystem(icospheres[1], band)
+
+    def test_band_above_the_gershgorin_bound_needs_no_solve(self, icospheres,
+                                                            monkeypatch):
+        monkeypatch.setattr(spectrum, "eigh", forbid("the dense solve"))
+        monkeypatch.setattr(spectrum, "eigsh", forbid("the sparse solve"))
+        with pytest.raises(ValueError, match="cannot certify"):
+            build_eigensystem(icospheres[3], 1e4)   # the bound is 478
+
+    def test_band_above_the_spectrum_exits_2(self, icospheres, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["spectrum", "--manifold", "mesh", "--mesh",
+                     icospheres[1].params["path"], "--band", "25",
+                     "--out", str(out)])
+        assert code == 2
+        assert "cannot certify" in capsys.readouterr().err
+
+    def test_arpack_failure_is_a_runtime_error(self, icospheres, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.zeros(0),
+                                      np.zeros((0, 0)))
+
+        monkeypatch.setattr(spectrum, "eigsh", failing)
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            build_eigensystem(icospheres[3], 30.0)
