@@ -4,22 +4,31 @@ The infimum over the bandlimited space is attained on the finite span of the
 included eigenfunctions, so each solve is a finite convex problem:
 
 * p = 2: orthogonal projection (the basis is quadrature-orthonormal),
-* 1 < p < inf: iteratively reweighted least squares started at the
-  projection, with an epsilon floor on the residual weights and a
-  backtracking step so the objective never increases,
+* 1 < p < inf: damped Newton on sum_i w_i |f - Uc|_i^p started at the
+  projection. Each step solves the IRLS weighted least squares
+  z = H^-1 U^T(w h), with d = max(|r|, IRLS_EPS)^(p-2), H = U^T(w d)U and
+  h = sign(r) |r|^(p-1). It tries the Newton step z / (p - 1) first,
+  halves it until the error drops and then while the error keeps dropping,
+  and never takes a step that does not lower it,
 * p = 1: the dual linear program of discrete L_1 approximation
   (Barrodale & Roberts 1973), max f^T z subject to U^T z = 0 and
   |z_i| <= w_i: k equality rows and box bounds, no slack variables. The
   coefficients are read off the equality marginals,
 * p = inf: the primal linear program min s subject to |f - Uc| <= s.
 
-Both linear programs are solved with HiGHS and certified. ``error`` is the
-L_p error of a coefficient vector held in hand (the linear program's or the
-projection's, whichever is smaller), so it is attained; ``lower_bound`` is
-the objective of the HiGHS dual solution. The best error lies in
-[lower_bound, error] up to the solver's feasibility tolerance (the two can
-cross by roundoff when the gap closes). A failed HiGHS solve raises
-``RuntimeError``.
+Every solve is certified by Hahn-Banach duality for best approximation from
+a subspace (Singer 1970): for any g with U^T(w g) = 0,
+<f, g>_w / ||g||_{p',w} is a lower bound on the best error. The projection
+takes g = r - U U^T(w r); the Newton solver builds g = h - d (Uz), which
+satisfies U^T(w g) = 0 by construction, re-projects it once to absorb
+roundoff and keeps the largest bound over its iterations; the linear
+programs use the HiGHS dual objective. ``error`` is the L_p error of a
+coefficient vector held in hand, so it is attained, and the best error lies
+in [lower_bound, error] up to roundoff (the two can cross by roundoff when
+the gap closes). ``converged`` means error - lower_bound <= LP_TOL ||f||_p
+(for the linear programs also that HiGHS reported an optimum); the Newton
+solver stops as soon as that holds, when no step lowers the error, or after
+IRLS_MAX_ITER iterations. A failed HiGHS solve raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -32,22 +41,23 @@ from scipy import sparse
 from .manifold import GridFunction, ManifoldModel, _weighted_norm
 from .spectrum import CoefVector, EigenSystem
 
-IRLS_EPS = 1e-10
-IRLS_TOL = 1e-9
+IRLS_EPS = 1e-14
 IRLS_MAX_ITER = 500
 LP_TOL = 1e-9
 
 
 @dataclass
 class ApproxResult:
-    """Outcome of one best-approximation solve.
+    """Outcome of one best-approximation solve: the interval
+    [lower_bound, error] that holds the best error.
 
-    ``error`` is the L_p error of ``coefficients``. For the linear programs
-    (``solver == "lp-highs"``) ``lower_bound`` is the HiGHS dual objective,
-    a lower bound on the best error up to the solver's feasibility tolerance
-    and roundoff, and ``converged`` means that HiGHS reported an optimum and
-    that ``|error - lower_bound|`` is at most ``LP_TOL * ||f||_p``. The other
-    solvers leave ``lower_bound`` as None.
+    ``error`` is the L_p error of ``coefficients``; ``lower_bound`` is the
+    dual bound of the solver (see the module docstring), a lower bound on the
+    best error up to roundoff and, for the linear programs, the solver's
+    feasibility tolerance. ``converged`` means that ``error - lower_bound``
+    is at most ``LP_TOL * ||f||_p`` (and, for ``solver == "lp-highs"``, that
+    HiGHS reported an optimum); ``iterations`` counts Newton iterations or
+    HiGHS iterations, and is 0 for the projection.
     """
 
     omega: float
@@ -55,11 +65,9 @@ class ApproxResult:
     error: float
     coefficients: CoefVector
     solver: str
+    lower_bound: float
     iterations: int = 0
     converged: bool = True
-    residual_change: float = 0.0
-    gradient_norm: float | None = None
-    lower_bound: float | None = None
 
 
 def best_approx(model: ManifoldModel, eigsys: EigenSystem, f: GridFunction,
@@ -85,54 +93,74 @@ def best_approx(model: ManifoldModel, eigsys: EigenSystem, f: GridFunction,
 
     if p == 2:
         r = f.values - u @ c0
-        return ApproxResult(omega=float(omega), p=2.0,
-                            error=_weighted_norm(w, r, 2.0),
-                            coefficients=CoefVector(c0), solver="projection")
+        err = _weighted_norm(w, r, 2.0)
+        lower = _dual_bound(u, w, r, r, 2.0)
+        gap_ok = err - lower <= LP_TOL * _scale(w, f.values, 2.0)
+        return ApproxResult(omega=float(omega), p=2.0, error=err,
+                            coefficients=CoefVector(c0), solver="projection",
+                            lower_bound=lower, converged=gap_ok)
     if np.isinf(p) or p == 1:
         return _solve_lp(model, u, f.values, c0, float(omega), p)
     return _solve_irls(model, u, f.values, c0, float(omega), p)
 
 
-def _irls_gradient_norm(u, w, r, p):
-    # gradient of sum_i w_i |r_i|^p with respect to the coefficients
-    grad = -p * (u.T @ (w * np.sign(r) * np.abs(r) ** (p - 1.0)))
-    return float(np.linalg.norm(grad))
+def _scale(w, fvals, p):
+    # ||f||_p, the yardstick of every gap test
+    return max(_weighted_norm(w, fvals, p), 1e-300)
+
+
+def _dual_bound(u, w, r, g, p):
+    """<f, g>_w / ||g||_{p',w} after one re-projection of g onto U^T(w g) = 0.
+
+    A lower bound on the best error for any g orthogonal to the span
+    (Hoelder); 0 for g = 0. It is evaluated as <r, g>_w with r = f - Uc, equal
+    for orthogonal g: the roundoff left in U^T(w g) then enters times c - c*
+    rather than times the best coefficients c*, and the bound never exceeds
+    ||r||_p, the error of c.
+    """
+    g = g - u @ (u.T @ (w * g))
+    gnorm = _weighted_norm(w, g, p / (p - 1.0))
+    return float(w @ (r * g)) / gnorm if gnorm > 0.0 else 0.0
 
 
 def _solve_irls(model, u, fvals, c0, omega, p):
     w = model.weights
+    scale = _scale(w, fvals, p)
+    tiny = np.finfo(float).tiny
     c = c0.copy()
     r = fvals - u @ c
     err = _weighted_norm(w, r, p)
-    # optimality certificate target; the error-change criterion alone can
-    # stall short of it for p < 2
-    grad_target = 1e-6 * _weighted_norm(w, fvals, p) ** (p - 1.0)
-    change = np.inf
-    iters = 0
-    converged = False
+    lower = 0.0
     for iters in range(1, IRLS_MAX_ITER + 1):
-        weights = w * np.maximum(np.abs(r), IRLS_EPS) ** (p - 2.0)
-        sq = np.sqrt(weights)
-        c_ls, *_ = np.linalg.lstsq(u * sq[:, None], fvals * sq, rcond=None)
-        # backtrack toward the previous iterate if the objective regressed
-        step = 1.0
-        for _ in range(40):
-            c_try = c + step * (c_ls - c)
+        a = np.abs(r)
+        d = np.maximum(a, IRLS_EPS) ** (p - 2.0)
+        # s = h / d with h = sign(r) |r|^(p-1), free of 0/0 and overflow
+        s = r * np.maximum(a / np.maximum(a, IRLS_EPS), tiny) ** (p - 2.0)
+        sq = np.sqrt(w * d)
+        z, *_ = np.linalg.lstsq(u * sq[:, None], sq * s, rcond=None)
+        # g = h - d (Uz) has U^T(w g) = U^T(w h) - H z = 0
+        lower = max(lower, _dual_bound(u, w, r, d * (s - u @ z), p))
+        if err - lower <= LP_TOL * scale:
+            break
+        # the Newton step first, halved until the error drops and then
+        # while it keeps dropping
+        step, trial = 1.0 / (p - 1.0), None
+        for _ in range(60):
+            c_try = c + step * z
             r_try = fvals - u @ c_try
             err_try = _weighted_norm(w, r_try, p)
-            if err_try <= err or step < 1e-12:
+            if err_try < (trial[2] if trial else err):
+                trial = (c_try, r_try, err_try)
+            elif trial:
                 break
             step *= 0.5
-        change = abs(err - err_try) / max(err, 1e-300)
-        c, r, err = c_try, r_try, err_try
-        if change < IRLS_TOL and _irls_gradient_norm(u, w, r, p) <= grad_target:
-            converged = True
-            break
+        if trial is None:
+            break  # no step lowers the error: keep c and report the interval
+        c, r, err = trial
     return ApproxResult(omega=omega, p=float(p), error=err,
                         coefficients=CoefVector(c), solver="irls",
-                        iterations=iters, converged=converged,
-                        residual_change=float(change),
-                        gradient_norm=_irls_gradient_norm(u, w, r, p))
+                        lower_bound=lower, iterations=iters,
+                        converged=err - lower <= LP_TOL * scale)
 
 
 def _solve_lp(model, u, fvals, c0, omega, p):
@@ -173,12 +201,10 @@ def _solve_lp(model, u, fvals, c0, omega, p):
     err0 = _weighted_norm(w, fvals - u @ c0, p)
     if err0 < err:
         c, err = c0, err0
-    scale = max(_weighted_norm(w, fvals, p), 1e-300)
     return ApproxResult(omega=omega, p=float(p), error=err,
                         coefficients=CoefVector(c), solver="lp-highs",
-                        iterations=int(res.nit),
-                        converged=abs(err - lower) <= LP_TOL * scale,
-                        lower_bound=lower)
+                        lower_bound=lower, iterations=int(res.nit),
+                        converged=abs(err - lower) <= LP_TOL * _scale(w, fvals, p))
 
 
 def _check_status(res):

@@ -2,8 +2,12 @@
 
 Subcommands mirror the library surface (spectrum, filters, kernel-decay,
 approx, jackson, bernstein, young, besov, all). Each writes CSV + gnuplot
-.dat files plus a JSON summary with one pass/fail entry per assertion, and
-exits 1 if any assertion failed, 2 on configuration errors.
+.dat files plus a JSON summary (report.json) with one pass/fail entry per
+assertion, and exits 1 if any assertion failed, 2 on configuration errors.
+An experiment that raises stops the run; report.json is still written, with
+the assertions made so far, ``passed`` false and an ``aborted`` entry naming
+the experiment and the error, and the exit code is 2 for a configuration
+error (``ConfigError``, ``ValueError``) and 1 for any other exception.
 
 Configuration is a plain-text file of ``key = value`` lines ('#' comments,
 comma-separated lists); command-line flags override file values. Outputs are
@@ -21,6 +25,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -495,22 +500,31 @@ def main(argv=None) -> int:
     report = Report()
     names = list(EXPERIMENTS) if args.command == "all" else [args.command]
     cache = ErrorCache()
-    try:
-        for name in names:
+    summary = {"config": cfg, "experiments": names}
+    aborted = None
+    for name in names:
+        try:
             EXPERIMENTS[name](cfg, model, eigsys, outdir, report, cache)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    summary = _jsonable({
-        "config": cfg,
-        "experiments": names,
-        "assertions": report.assertions,
-        "passed": report.all_passed,
-    })
-    _atomic_write(os.path.join(outdir, "report.json"), json.dumps(summary, indent=2))
+        except Exception as exc:
+            aborted = exc
+            summary["aborted"] = {"experiment": name,
+                                  "error": f"{type(exc).__name__}: {exc}"}
+            break
+    summary.update(assertions=report.assertions,
+                   passed=aborted is None and report.all_passed)
+    _atomic_write(os.path.join(outdir, "report.json"),
+                  json.dumps(_jsonable(summary), indent=2))
     for a in report.assertions:
         status = "PASS" if a["passed"] else "FAIL"
         print(f"[{status}] {a['name']}: value={a['value']} threshold={a['threshold']}")
+    if isinstance(aborted, (ConfigError, ValueError)):
+        print(f"error: {aborted}", file=sys.stderr)
+        return 2
+    if aborted is not None:
+        traceback.print_exception(aborted, file=sys.stderr)
+        print(f"error: experiment {summary['aborted']['experiment']} aborted",
+              file=sys.stderr)
+        return 1
     if not report.all_passed:
         print("one or more assertions failed", file=sys.stderr)
         return 1

@@ -94,7 +94,9 @@ class TestSharedCache:
             assert r.solver == "lp-highs" and r.converged
             assert r.lower_bound is not None
             assert abs(r.error - r.lower_bound) <= 1e-9 * lp_norm(model, f, 1.0)
-        assert all(r.lower_bound is None for r in results[2.0])
+        for r in results[2.0]:
+            assert r.solver == "projection" and r.converged
+            assert abs(r.error - r.lower_bound) <= 1e-12 * lp_norm(model, f, 2.0)
 
 
 class TestANorm:

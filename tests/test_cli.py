@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from besovlab import cli
 from besovlab.cli import ConfigError, main, parse_config_file, resolve_config
 from besovlab.corpus import default_corpus
 from besovlab.mesh import icosphere, write_off
@@ -75,6 +76,38 @@ class TestConfig:
                         "--out", str(tmp_path / "o")])
         assert code == 2
         assert "parameter grid 'p' holds nan" in capsys.readouterr().err
+
+
+class TestAbort:
+    @pytest.mark.parametrize("exc, code", [
+        (RuntimeError("HiGHS linear program failed (status 4)"), 1),
+        (ConfigError("band too small for a kernel-decay sweep"), 2)])
+    def test_partial_report_names_the_experiment(self, tmp_path, monkeypatch,
+                                                 capsys, exc, code):
+        def broken(*args):
+            raise exc
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "kernel-decay", broken)
+        out = tmp_path / "o"
+        assert run_cli(["all", "--nodes", "64", "--jmax", "2",
+                        "--out", str(out)]) == code
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is False
+        assert report["experiments"] == list(cli.EXPERIMENTS)
+        assert report["aborted"] == {
+            "experiment": "kernel-decay",
+            "error": f"{type(exc).__name__}: {exc}"}
+        # the experiments before the failing one reported their assertions
+        prefixes = {a["name"].split(".")[0] for a in report["assertions"]}
+        assert prefixes == {"spectrum", "filters"}
+        assert all(a["passed"] for a in report["assertions"])
+        assert str(exc) in capsys.readouterr().err
+
+    def test_complete_run_has_no_aborted_entry(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli(["filters", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert list(report) == ["config", "experiments", "assertions", "passed"]
 
 
 class TestSubcommands:
