@@ -166,8 +166,8 @@ def a_norm_continuous(eigsys: EigenSystem, f: GridFunction, alpha: float,
     if not q > 0:
         raise ValueError("q must satisfy 0 < q <= inf")
     t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid <= 0):
-        raise ValueError("t_grid must be positive")
+    if not np.all(np.isfinite(t_grid) & (t_grid > 0)):
+        raise ValueError("t_grid must be positive and finite")
     t_lo, t_hi = float(t_grid.min()), float(t_grid.max())
     if t_hi > eigsys.band_limit:
         raise ValueError("t_grid exceeds the computed band limit")
@@ -324,8 +324,8 @@ def interpolation_norm(eigsys: EigenSystem, f: GridFunction, theta: float,
     if not q > 0:
         raise ValueError("q must satisfy 0 < q <= inf")
     t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid <= 0):
-        raise ValueError("t_grid must be positive")
+    if not np.all(np.isfinite(t_grid) & (t_grid > 0)):
+        raise ValueError("t_grid must be positive and finite")
     t_grid = np.sort(t_grid)
     c = _require_bandlimited(eigsys, f).coefficients
     kvals = np.array([_k_quadratic(c, eigsys.eigenvalues, t, k) for t in t_grid])

@@ -238,10 +238,9 @@ def run_filters(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
     grid = np.linspace(0.0, 4.0 ** J, 10001)
     dev = check_partition(fam, J, grid)
     report.check("filters.partition_of_unity", dev < 1e-12, dev, 1e-12)
-    rows = []
     sample = np.geomspace(1e-2, 4.0 ** J, 200)
-    for lam in sample:
-        rows.append([lam] + [fam.f_j(j, lam) for j in range(J + 1)])
+    rows = np.column_stack([sample] + [fam.f_j(j, sample)
+                                       for j in range(J + 1)]).tolist()
     write_table(outdir, "filters", ["lambda"] + [f"F{j}" for j in range(J + 1)], rows)
 
 

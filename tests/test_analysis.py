@@ -60,6 +60,19 @@ class TestBesovParams:
                 interpolation_norm(es, f, 0.5, args["q"], 2,
                                    np.geomspace(1e-3, 1.0, 9))
 
+    @pytest.mark.parametrize("norm", ["continuous", "interpolation"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_norms_reject_bad_t_grid_entries(self, norm, bad):
+        # a NaN entry used to pass the positivity check: the continuous norm
+        # then returned ||f||_2 alone and the interpolation norm NaN
+        es = build_eigensystem(build_circle(128), 63.0 ** 2)
+        f = lacunary(1.0, 3).build(es.model, es)
+        with pytest.raises(ValueError, match="t_grid"):
+            if norm == "continuous":
+                a_norm_continuous(es, f, 1.0, 2.0, 2.0, [1.0, bad, 16.0])
+            else:
+                interpolation_norm(es, f, 0.5, 2.0, 2, [1e-3, bad, 1.0])
+
 
 class TestSharedCache:
     def test_norms_share_each_solve(self, monkeypatch, rng):

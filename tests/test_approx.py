@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,6 +157,15 @@ class TestStructuralInvariants:
         with pytest.raises(ValueError, match="band"):
             best_approx(es.model, es, f, es.band_limit * 2, 2.0)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+    def test_rejects_nan_omega(self, circle1024_es, p):
+        # nan > band_limit is False, so a plain range check let nan through
+        # and solved at the full band
+        es = circle1024_es
+        f = square_wave().build(es.model, es)
+        with pytest.raises(ValueError, match="not a number"):
+            best_approx(es.model, es, f, np.nan, p)
+
     def test_rejects_p_below_one(self, circle1024_es):
         es = circle1024_es
         f = GridFunction(es.model, np.ones(es.model.n_nodes))
@@ -190,6 +200,12 @@ class TestErrorSequence:
         f = GridFunction(es.model, np.ones(es.model.n_nodes))
         with pytest.raises(ValueError, match="exceeds the computed band"):
             errors_at_cutoffs(es, f, 2.0, dyadic(12))
+
+    def test_rejects_nan_level(self, circle1024_es):
+        es = circle1024_es
+        f = GridFunction(es.model, np.ones(es.model.n_nodes))
+        with pytest.raises(ValueError, match="not a number"):
+            errors_at_cutoffs(es, f, 1.0, [1.0, np.nan, 16.0])
 
     def test_csv_roundtrip(self, tmp_path, circle1024_es, rng):
         es = circle1024_es
@@ -286,6 +302,19 @@ def primal_l1_error(es, f, omega):
     return float(res.fun)
 
 
+def dual_linf_error(es, f, omega):
+    # independent oracle: the dual LP max f^T z, U^T z = 0, ||z||_1 <= 1,
+    # with z = z+ - z- and HiGHS defaults
+    n, k = es.model.n_nodes, es.cutoff_index(omega)
+    u = es.eigenfunctions[:, :k]
+    res = scipy.optimize.linprog(
+        np.concatenate([-f.values, f.values]), A_ub=np.ones((1, 2 * n)),
+        b_ub=[1.0], A_eq=np.hstack([u.T, -u.T]), b_eq=np.zeros(k),
+        bounds=(0, None), method="highs")
+    assert res.status == 0
+    return float(-res.fun)
+
+
 @pytest.fixture(scope="module")
 def circle128_es():
     return build_eigensystem(build_circle(128), 63.0 ** 2)
@@ -310,6 +339,20 @@ class TestCertifiedLP:
                 assert abs(res.error - oracle) <= max(1e-9 * oracle,
                                                       1e-12 * fnorm)
 
+    def test_pinf_matches_dual_oracle(self, circle128_es, rng):
+        es = circle128_es
+        funcs = [lacunary(1.0, 5).build(es.model, es),
+                 square_wave().build(es.model, es),
+                 random_band(es, rng, 40)]
+        for f in funcs:
+            fnorm = lp_norm(es.model, f, np.inf)
+            for j in range(5):
+                res = best_approx(es.model, es, f, 4.0 ** j, np.inf)
+                oracle = dual_linf_error(es, f, 4.0 ** j)
+                assert res.solver == "lp-highs" and res.converged
+                assert abs(res.error - oracle) <= 1e-9 * oracle
+                assert res.lower_bound <= oracle + 1e-12 * fnorm
+
     @pytest.mark.parametrize("p", [1.0, np.inf])
     def test_certificate_brackets_error(self, circle1024_es, rng, p):
         es = circle1024_es
@@ -321,17 +364,37 @@ class TestCertifiedLP:
             assert abs(res.error - res.lower_bound) <= LP_TOL * fnorm
             assert res.lower_bound <= res.error + 1e-12 * fnorm
 
-    @pytest.mark.parametrize("p", [1.0, np.inf])
+    @pytest.mark.parametrize("p", [1.0, 1.5, np.inf])
     def test_resolved_function_keeps_projection_error(self, circle1024_es,
-                                                      rng, p):
+                                                      rng, monkeypatch, p):
+        # a function the span resolves to LP_TOL gets the projection and
+        # the trivial interval [0, error], with no LP or Newton solve
         es = circle1024_es
+        calls = []
+
+        def counted(solve):
+            def wrapper(*args, **kwargs):
+                calls.append(solve.__name__)
+                return solve(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            counted(scipy.optimize.linprog))
+        monkeypatch.setattr(scipy.linalg, "lstsq", counted(scipy.linalg.lstsq))
         f = random_band(es, rng, es.cutoff_index(4.0))
         res = best_approx(es.model, es, f, 16.0, p)
+        assert calls == []
         k = es.cutoff_index(16.0)
         c0 = es.eigenfunctions[:, :k].T @ (es.model.weights * f.values)
         resid = f.values - es.eigenfunctions[:, :k] @ c0
-        assert res.error <= lp_norm(es.model, GridFunction(es.model, resid), p)
+        assert res.error == lp_norm(es.model, GridFunction(es.model, resid), p)
         assert res.error < 1e-12 * lp_norm(es.model, f, p)
+        assert res.solver == "projection" and res.iterations == 0
+        assert res.lower_bound == 0.0 and res.converged
+        assert np.array_equal(res.coefficients.coefficients, c0)
+        # the counters see the solves of a function the span does not resolve
+        best_approx(es.model, es, f, 1.0, p)
+        assert calls
 
     @pytest.mark.parametrize("p", [1.0, np.inf])
     def test_failed_solve_raises(self, circle1024_es, rng, monkeypatch, p):
@@ -447,7 +510,7 @@ class TestCertifiedNewton:
         start = lp_norm(es.model, GridFunction(
             es.model, f.values - es.eigenfunctions[:, :k] @ c0), 1.5)
         # a zero step direction: no step can lower the error
-        monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond=None: (
+        monkeypatch.setattr(scipy.linalg, "lstsq", lambda a, b, **kwargs: (
             np.zeros(a.shape[1]), None, None, None))
         res = best_approx(es.model, es, f, 16.0, 1.5)
         assert res.iterations == 1 and not res.converged
