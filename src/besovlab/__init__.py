@@ -12,7 +12,7 @@ from .analysis import (BesovParams, ErrorCache, NormReport, a_norm, a_norm_conti
 from .approx import ApproxResult, best_approx
 from .corpus import (CorpusEntry, default_corpus, eigen_pure, lacunary,
                      lacunary_l2_error, manifest, random_bandlimited,
-                     square_wave, square_wave_l2_error, write_manifest)
+                     square_wave, square_wave_l2_error)
 from .filters import (FilterFamily, SmoothCutoff, check_partition, make_bump,
                       make_filter_family)
 from .manifold import (GridFunction, ManifoldModel, ball_volume, build_circle,

@@ -14,14 +14,16 @@ ratio checks, and a quadratic-mean K-functional for the pair (L_2, W^k_2).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .approx import ApproxResult, best_approx
-from .filters import FilterFamily, make_filter_family
+from .filters import make_filter_family
 from .manifold import GridFunction, lp_norm
 from .spectrum import EigenSystem, apply_power, project, synthesize
+
+BAND_TOL = 1e-8  # relative tolerance of every bandlimited test
 
 
 @dataclass
@@ -50,8 +52,8 @@ class NormReport:
 
     a_norm: float
     lp_part: float
-    dyadic_tail_terms: list = field(default_factory=list)
-    tail_residual: float = 0.0
+    dyadic_tail_terms: list
+    tail_residual: float
 
 
 def _q_sum(terms: np.ndarray, q: float) -> float:
@@ -104,29 +106,27 @@ def _tail_residual(errors, params):
 class ErrorCache:
     """Memo for the (f, p) sequences behind the Besov-type norms.
 
-    Keys on a function's model and a digest of its sample values, with p and
-    ``at``: a cutoff omega for a best-approximation result, or a
-    ``FilterFamily`` for the tuple of Littlewood-Paley block norms (a family
-    never equals a number). A function rebuilt with the same samples hits the
-    entries of the first copy, and no function is referenced. Each model seen
-    is kept, so its id is never reused while an entry refers to it.
+    Keys on a function's model object (models compare by identity), a
+    digest of its sample values, p and ``at``: a cutoff omega for a
+    best-approximation result, or a ``FilterFamily`` for the tuple of
+    Littlewood-Paley block norms (a family never equals a number). A function
+    rebuilt with the same samples hits the entries of the first copy, and no
+    function is referenced; the models of the stored entries are.
     """
 
     def __init__(self):
         self._vals: dict = {}
-        self._models: dict = {}
 
     @staticmethod
     def _key(f, p, at):
         vals = f.values
         digest = hashlib.sha256(vals.dtype.str.encode() + vals.tobytes()).digest()
-        return id(f.model), digest, float(p), at
+        return f.model, digest, float(p), at
 
     def lookup(self, f, p, at):
         return self._vals.get(self._key(f, p, at))
 
     def store(self, f, p, at, value):
-        self._models[id(f.model)] = f.model
         self._vals[self._key(f, p, at)] = value
 
 
@@ -189,21 +189,22 @@ def a_norm_continuous(eigsys: EigenSystem, f: GridFunction, alpha: float,
     return lp_norm(model, f, p) + total ** (1.0 / q)
 
 
-def _bandlimited_coefficients(eigsys, f, tol):
-    """f's eigencoefficients, or None if they miss f by more than relative ``tol``."""
+def _bandlimited_coefficients(eigsys, f):
+    """f's eigencoefficients, or None if they miss f by more than relative BAND_TOL."""
     c = project(eigsys, f)
     resid = f.values - synthesize(eigsys, c).values
     scale = max(float(np.abs(f.values).max()), 1e-300)
-    return c if float(np.abs(resid).max()) <= tol * scale else None
+    return c if float(np.abs(resid).max()) <= BAND_TOL * scale else None
 
 
-def is_bandlimited(eigsys: EigenSystem, f: GridFunction, tol: float = 1e-8) -> bool:
-    """Whether f is reproduced by its eigenexpansion to relative ``tol``."""
-    return _bandlimited_coefficients(eigsys, f, tol) is not None
+def is_bandlimited(eigsys: EigenSystem, f: GridFunction) -> bool:
+    """Whether f is reproduced by its eigenexpansion to relative ``BAND_TOL``
+    (max-norm residual against max |f|)."""
+    return _bandlimited_coefficients(eigsys, f) is not None
 
 
-def _require_bandlimited(eigsys, f, tol=1e-8):
-    c = _bandlimited_coefficients(eigsys, f, tol)
+def _require_bandlimited(eigsys, f):
+    c = _bandlimited_coefficients(eigsys, f)
     if c is None:
         raise ValueError("function is not bandlimited in this eigensystem")
     return c
@@ -219,17 +220,16 @@ def sobolev_norm(eigsys: EigenSystem, f: GridFunction, k: int, p: float) -> floa
 
 def lp_comparator_norm(eigsys: EigenSystem, f: GridFunction,
                        params: BesovParams,
-                       family: FilterFamily | None = None,
                        cache: ErrorCache | None = None) -> float:
     """Littlewood-Paley comparator: ||F_0(L)f||_p + l_q sum of scaled blocks.
 
-    The filter bank is applied at unit scale, so block j covers eigenvalues
-    in [4^(j-1), 16*4^(j-1)]; blocks beyond the band limit vanish identically
-    and the sum is finite without truncation error. The block norms depend
-    only on (f, p) and the family: each is computed once per ``cache``, and
-    (alpha, q) only re-weight them.
+    The filter bank is ``make_filter_family()`` applied at unit scale, so
+    block j covers eigenvalues in [4^(j-1), 16*4^(j-1)]; blocks beyond the
+    band limit vanish identically and the sum is finite without truncation
+    error. The block norms depend only on (f, p): each is computed once per
+    ``cache``, and (alpha, q) only re-weight them.
     """
-    family = family or make_filter_family()
+    family = make_filter_family()
     cache = ErrorCache() if cache is None else cache
     blocks = cache.lookup(f, params.p, family)
     if blocks is None:
@@ -268,17 +268,18 @@ def jackson_ratios(eigsys: EigenSystem, f: GridFunction, k: int, p: float,
 
 
 def bernstein_ratio(eigsys: EigenSystem, f_band: GridFunction, k: int,
-                    p: float, omega: float, tol: float = 1e-8) -> float:
+                    p: float, omega: float) -> float:
     """||L^k f||_p / (omega^k ||f||_p) for f in the span {lambda <= omega}.
 
-    At p = 2 the ratio is exactly bounded by 1. Rejects functions with
-    spectral content above the cutoff.
+    At p = 2 the ratio is exactly bounded by 1. Rejects f unless it is
+    bandlimited and its coefficients above the cutoff are within relative
+    ``BAND_TOL`` of 0.
     """
     c = _require_bandlimited(eigsys, f_band)
     idx = eigsys.cutoff_index(omega)
     high = c.coefficients[idx:]
     scale = max(float(np.abs(c.coefficients).max()), 1e-300)
-    if len(high) and float(np.abs(high).max()) > tol * scale:
+    if len(high) and float(np.abs(high).max()) > BAND_TOL * scale:
         raise ValueError("function has components above the cutoff omega")
     model = eigsys.model
     rough = synthesize(eigsys, apply_power(eigsys, c, float(k)))

@@ -37,10 +37,10 @@ roundoff and keeps the largest bound over its iterations; the linear
 programs use the HiGHS dual objective. ``error`` is the L_p error of a
 coefficient vector held in hand, so it is attained, and the best error lies
 in [lower_bound, error] up to roundoff (the two can cross by roundoff when
-the gap closes). ``converged`` means error - lower_bound <= LP_TOL ||f||_p
-(for the linear programs also that HiGHS reported an optimum); the Newton
-solver stops as soon as that holds, when no step lowers the error, or after
-IRLS_MAX_ITER iterations. A failed HiGHS solve raises ``RuntimeError``.
+the gap closes). Every solver is held to one rule, ``converged`` means
+|error - lower_bound| <= LP_TOL ||f||_p; the Newton solver stops as soon as
+that holds, when no step lowers the error, or after IRLS_MAX_ITER
+iterations. A failed HiGHS solve raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -66,10 +66,10 @@ class ApproxResult:
     ``error`` is the L_p error of ``coefficients``; ``lower_bound`` is the
     dual bound of the solver (see the module docstring), a lower bound on the
     best error up to roundoff and, for the linear programs, the solver's
-    feasibility tolerance. ``converged`` means that ``error - lower_bound``
-    is at most ``LP_TOL * ||f||_p`` (and, for ``solver == "lp-highs"``, that
-    HiGHS reported an optimum); ``iterations`` counts Newton iterations or
-    HiGHS iterations, and is 0 for the projection.
+    feasibility tolerance. ``converged`` means that
+    ``|error - lower_bound|`` is at most ``LP_TOL * ||f||_p``;
+    ``iterations`` counts Newton iterations or HiGHS iterations, and is 0
+    for the projection.
     """
 
     omega: float
@@ -78,8 +78,8 @@ class ApproxResult:
     coefficients: CoefVector
     solver: str
     lower_bound: float
-    iterations: int = 0
-    converged: bool = True
+    iterations: int
+    converged: bool
 
 
 def best_approx(model: ManifoldModel, eigsys: EigenSystem, f: GridFunction,
@@ -107,20 +107,23 @@ def best_approx(model: ManifoldModel, eigsys: EigenSystem, f: GridFunction,
     scale = _weighted_norm(w, f.values, p)  # the yardstick of every gap test
 
     if p == 2:
-        lower = _dual_bound(u, w, r0, r0, 2.0)
-        return ApproxResult(omega=float(omega), p=2.0, error=err0,
-                            coefficients=CoefVector(c0), solver="projection",
-                            lower_bound=lower,
-                            converged=err0 - lower <= LP_TOL * scale)
-    if err0 <= LP_TOL * scale:
+        solver, c, err, lower, iters = (
+            "projection", c0, err0, _dual_bound(u, w, r0, r0, 2.0), 0)
+    elif err0 <= LP_TOL * scale:
         # the span resolves f to the tolerance of every gap test, so the
         # trivial bound 0 already certifies the projection
-        return ApproxResult(omega=float(omega), p=float(p), error=err0,
-                            coefficients=CoefVector(c0), solver="projection",
-                            lower_bound=0.0)
-    if np.isinf(p) or p == 1:
-        return _solve_lp(u, w, f.values, c0, err0, scale, float(omega), p)
-    return _solve_irls(u, w, f.values, c0, r0, err0, scale, float(omega), p)
+        solver, c, err, lower, iters = "projection", c0, err0, 0.0, 0
+    elif np.isinf(p) or p == 1:
+        solver = "lp-highs"
+        c, err, lower, iters = _solve_lp(u, w, f.values, c0, err0, p)
+    else:
+        solver = "irls"
+        c, err, lower, iters = _solve_irls(u, w, f.values, c0, r0, err0,
+                                           scale, p)
+    return ApproxResult(omega=float(omega), p=float(p), error=err,
+                        coefficients=CoefVector(c), solver=solver,
+                        lower_bound=lower, iterations=iters,
+                        converged=abs(err - lower) <= LP_TOL * scale)
 
 
 def _dual_bound(u, w, r, g, p):
@@ -137,7 +140,7 @@ def _dual_bound(u, w, r, g, p):
     return float(w @ (r * g)) / gnorm if gnorm > 0.0 else 0.0
 
 
-def _solve_irls(u, w, fvals, c0, r0, err0, scale, omega, p):
+def _solve_irls(u, w, fvals, c0, r0, err0, scale, p):
     tiny = np.finfo(float).tiny
     c, r, err = c0, r0, err0
     lower = 0.0
@@ -168,13 +171,10 @@ def _solve_irls(u, w, fvals, c0, r0, err0, scale, omega, p):
         if trial is None:
             break  # no step lowers the error: keep c and report the interval
         c, r, err = trial
-    return ApproxResult(omega=omega, p=float(p), error=err,
-                        coefficients=CoefVector(c), solver="irls",
-                        lower_bound=lower, iterations=iters,
-                        converged=err - lower <= LP_TOL * scale)
+    return c, err, lower, iters
 
 
-def _solve_lp(u, w, fvals, c0, err0, scale, omega, p):
+def _solve_lp(u, w, fvals, c0, err0, p):
     # deferred: scipy.optimize is a third of the package import time and
     # only these two solves use it
     from scipy.optimize import linprog
@@ -211,10 +211,7 @@ def _solve_lp(u, w, fvals, c0, err0, scale, omega, p):
     err = _weighted_norm(w, fvals - u @ c, p)
     if err0 < err:
         c, err = c0, err0
-    return ApproxResult(omega=omega, p=float(p), error=err,
-                        coefficients=CoefVector(c), solver="lp-highs",
-                        lower_bound=lower, iterations=int(res.nit),
-                        converged=abs(err - lower) <= LP_TOL * scale)
+    return c, err, lower, int(res.nit)
 
 
 def _check_status(res):

@@ -257,7 +257,7 @@ def run_kernel_decay(cfg, model, eigsys, outdir, report: Report, cache: ErrorCac
     fits, rows, runtimes = [], [], []
     for t in t_list:
         t0 = time.perf_counter()
-        kern = build_kernel(eigsys, fam.F, t, "F")
+        kern = build_kernel(eigsys, fam.F, t)
         fit = fit_decay_constant(kern, N)
         runtimes.append(1000.0 * (time.perf_counter() - t0))
         fits.append(fit)
@@ -287,7 +287,8 @@ def run_kernel_decay(cfg, model, eigsys, outdir, report: Report, cache: ErrorCac
 
 def run_approx(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
     entries = corpus_mod.default_corpus(model.kind)
-    corpus_mod.write_manifest(os.path.join(outdir, "corpus_manifest.json"), entries)
+    _atomic_write(os.path.join(outdir, "corpus_manifest.json"),
+                  json.dumps(corpus_mod.manifest(entries), indent=2))
     cutoffs = [4.0 ** j for j in range(cfg["jmax"] + 1)]
     rows = []
     for entry in entries:
@@ -368,7 +369,7 @@ def run_young(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
     worst = -np.inf
     for trial in range(cfg["trials"]):
         raw = rng.standard_normal((n, n))
-        kern = KernelMatrix(model, 0.5 * (raw + raw.T), 1.0, "random")
+        kern = KernelMatrix(model, 0.5 * (raw + raw.T), 1.0)
         f = GridFunction(model, rng.standard_normal(n))
         p = float(rng.choice([x for x in cfg["p"] if x >= 1]))
         if np.isinf(p):

@@ -7,7 +7,6 @@ eigenfunctions and random bandlimited draws).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,6 @@ class CorpusEntry:
     builder: object  # callable (model, eigsys) -> GridFunction
     known_coefficients: object = None  # callable (eigsys) -> ndarray, or None
     expected_rate: float | None = None
-    notes: str = ""
     params: dict = field(default_factory=dict)
 
     def build(self, model: ManifoldModel, eigsys: EigenSystem | None = None) -> GridFunction:
@@ -66,7 +64,6 @@ def lacunary(alpha: float, M: int) -> CorpusEntry:
 
     return CorpusEntry(id=f"lacunary-a{alpha:g}-M{M}", builder=build,
                        known_coefficients=coefs, expected_rate=alpha,
-                       notes="lacunary cosine sum, exact dyadic L2 errors",
                        params={"alpha": alpha, "M": M})
 
 
@@ -92,8 +89,7 @@ def eigen_pure(l: int) -> CorpusEntry:
         return c
 
     return CorpusEntry(id=f"eigenpure-{l}", builder=build,
-                       known_coefficients=coefs,
-                       notes="single eigenfunction", params={"l": l})
+                       known_coefficients=coefs, params={"l": l})
 
 
 def random_bandlimited(omega: float, seed: int) -> CorpusEntry:
@@ -118,7 +114,6 @@ def random_bandlimited(omega: float, seed: int) -> CorpusEntry:
 
     return CorpusEntry(id=f"randband-w{omega:g}-s{seed}", builder=build,
                        known_coefficients=draw,
-                       notes="normalized Gaussian coefficients on the band",
                        params={"omega": omega, "seed": seed})
 
 
@@ -137,7 +132,6 @@ def square_wave() -> CorpusEntry:
         return GridFunction(model, vals)
 
     return CorpusEntry(id="squarewave", builder=build, expected_rate=0.5,
-                       notes="discontinuous test case, tail sum ~ 2^-j",
                        params={})
 
 
@@ -173,8 +167,3 @@ def manifest(entries: list[CorpusEntry]) -> list[dict]:
     """JSON-ready manifest rows (id, params, expected_rate)."""
     return [{"id": e.id, "params": e.params, "expected_rate": e.expected_rate}
             for e in entries]
-
-
-def write_manifest(path, entries: list[CorpusEntry]) -> None:
-    with open(path, "w") as fh:
-        json.dump(manifest(entries), fh, indent=2)

@@ -26,20 +26,19 @@ def _g(x):
 
 @dataclass(frozen=True)
 class SmoothCutoff:
-    """The bump h: 1 on [0, plateau_end], 0 from support_end on, smooth between."""
+    """The bump h: 1 on [0, 1], 0 from 4 on, smooth between.
 
-    plateau_end: float = 1.0
-    support_end: float = 4.0
+    The ends 1 and 4 are fixed: the support [1, 16] of F, the dyadic blocks
+    [4^(j-1), 16*4^(j-1)] and the partition of unity all rest on them.
+    """
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=float)
-        width = self.support_end - self.plateau_end
-        up = _g((self.support_end - lam) / width)
-        down = _g((lam - self.plateau_end) / width)
+        up = _g((4.0 - lam) / 3.0)
+        down = _g((lam - 1.0) / 3.0)
         with np.errstate(invalid="ignore"):
             mid = np.where(up + down > 0, up / (up + down), 0.0)
-        out = np.where(lam <= self.plateau_end, 1.0,
-                       np.where(lam >= self.support_end, 0.0, mid))
+        out = np.where(lam <= 1.0, 1.0, np.where(lam >= 4.0, 0.0, mid))
         return out if out.ndim else float(out)
 
 

@@ -113,9 +113,6 @@ class GridFunction:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid function contains non-finite samples")
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.model, self.values.copy())
-
 
 def build_circle(n_nodes: int) -> ManifoldModel:
     """Unit circle with equispaced nodes and trapezoid weights 2*pi/n.

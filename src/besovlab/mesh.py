@@ -154,8 +154,8 @@ def load_mesh(path) -> ManifoldModel:
                          faces=faces)
 
 
-def icosphere(level: int, radius: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Icosahedron subdivided ``level`` times and projected to the sphere."""
+def icosphere(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Icosahedron subdivided ``level`` times and projected to the unit sphere."""
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array([
         [-1, phi, 0], [1, phi, 0], [-1, -phi, 0], [1, -phi, 0],
@@ -190,4 +190,4 @@ def icosphere(level: int, radius: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         verts = np.array(verts_list)
         faces = np.array(new_faces, dtype=int)
 
-    return radius * verts, faces
+    return verts, faces

@@ -24,7 +24,6 @@ class KernelMatrix:
     model: ManifoldModel
     matrix: np.ndarray
     t: float
-    filter_descr: str = ""
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -65,12 +64,12 @@ def apply_filter(eigsys: EigenSystem, G, t: float, f: GridFunction) -> GridFunct
     return synthesize(eigsys, CoefVector(scaled))
 
 
-def build_kernel(eigsys: EigenSystem, G, t: float, descr: str = "") -> KernelMatrix:
+def build_kernel(eigsys: EigenSystem, G, t: float) -> KernelMatrix:
     """Materialize K = U diag(G(t^2 lambda)) U^T."""
     g = _multiplier_values(eigsys, G, t)
     u = eigsys.eigenfunctions
     k = (u * g[None, :]) @ u.T
-    return KernelMatrix(eigsys.model, k, float(t), descr)
+    return KernelMatrix(eigsys.model, k, float(t))
 
 
 def apply_kernel(K: KernelMatrix, f: GridFunction) -> GridFunction:
@@ -95,14 +94,6 @@ def kernel_alpha_norms(K: KernelMatrix, alpha: float):
     row = (a ** alpha @ w) ** (1.0 / alpha)
     col = (w @ a ** alpha) ** (1.0 / alpha)
     return float(row.max()), float(col.max())
-
-
-def _conj(p: float) -> float:
-    if np.isinf(p):
-        return 1.0
-    if p == 1:
-        return np.inf
-    return p / (p - 1.0)
 
 
 def _inv(p: float) -> float:

@@ -12,6 +12,7 @@ the bandlimited space at cutoff eigenvalues[k-1].
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,7 +284,7 @@ def project(eigsys: EigenSystem, f: GridFunction) -> CoefVector:
 
 def synthesize(eigsys: EigenSystem, c: CoefVector) -> GridFunction:
     """Synthesis: f(x_i) = sum_l c_l u_l(x_i)."""
-    coefs = c.coefficients if isinstance(c, CoefVector) else np.asarray(c, dtype=float)
+    coefs = c.coefficients
     if len(coefs) > eigsys.n_eigen:
         raise ValueError("more coefficients than eigenfunctions")
     vals = eigsys.eigenfunctions[:, :len(coefs)] @ coefs
@@ -294,13 +295,17 @@ def apply_power(eigsys: EigenSystem, c: CoefVector, s: float) -> CoefVector:
     """Diagonal action of L^s: c_l -> lambda_l^s c_l (0^0 taken as 1)."""
     if s < 0:
         raise ValueError("power must be nonnegative")
-    coefs = c.coefficients if isinstance(c, CoefVector) else np.asarray(c, dtype=float)
+    coefs = c.coefficients
     factors = np.power(eigsys.eigenvalues[:len(coefs)], s)
     return CoefVector(coefs * factors)
 
 
 def save_eigensystem(eigsys: EigenSystem, path) -> None:
-    """Export as JSON (eigenvalues + row-major eigenfunctions + descriptor)."""
+    """Export as JSON (eigenvalues + row-major eigenfunctions + descriptor).
+
+    The document is streamed into ``<path>.tmp`` and renamed over ``path``,
+    so a failed write leaves an earlier file intact.
+    """
     doc = {
         "format": "besovlab-eigensystem",
         "model": {
@@ -316,8 +321,10 @@ def save_eigensystem(eigsys: EigenSystem, path) -> None:
         "eigenfunctions": eigsys.eigenfunctions.ravel(order="C").tolist(),
         "labels": [list(lab) for lab in eigsys.labels],
     }
-    with open(path, "w") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
         json.dump(doc, fh)
+    os.replace(tmp, path)
 
 
 def load_eigensystem(path, model: ManifoldModel) -> EigenSystem:

@@ -146,7 +146,7 @@ def test_criterion_7_kernel_decay_and_volume(circle512, circle512_es, sphere16):
     cs = []
     for j in range(2, 7):
         t = 2.0 ** (-j)
-        kern = build_kernel(es, FAM.F, t, "F")
+        kern = build_kernel(es, FAM.F, t)
         cs.append(fit_decay_constant(kern, 3.0).C)
     c_ratio = max(cs) / min(cs)
     vol_c = [weighted_decay_integral(circle512, 2.0 ** (-j), 3.0)
@@ -172,7 +172,7 @@ def test_criterion_8_young(circle512):
     worst = -np.inf
     for _ in range(100):
         raw = rng.standard_normal((n, n))
-        kern = KernelMatrix(circle512, 0.5 * (raw + raw.T), 1.0, "random")
+        kern = KernelMatrix(circle512, 0.5 * (raw + raw.T), 1.0)
         f = GridFunction(circle512, rng.standard_normal(n))
         p = float(rng.choice([1.0, 1.5, 2.0, 3.0, np.inf]))
         if np.isinf(p):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from besovlab.analysis import errors_at_cutoffs
-from besovlab.approx import LP_TOL, best_approx
+from besovlab.approx import LP_TOL, ApproxResult, best_approx
 from besovlab.cli import write_table
 from besovlab.corpus import lacunary, random_bandlimited, square_wave
 from besovlab.manifold import GridFunction, build_circle, lp_norm
@@ -395,6 +395,15 @@ class TestCertifiedLP:
         # the counters see the solves of a function the span does not resolve
         best_approx(es.model, es, f, 1.0, p)
         assert calls
+
+    @pytest.mark.parametrize("missing", ["iterations", "converged"])
+    def test_no_result_without_a_certificate(self, missing):
+        fields = dict(omega=4.0, p=1.0, error=0.5,
+                      coefficients=CoefVector(np.zeros(3)), solver="lp-highs",
+                      lower_bound=0.5, iterations=3, converged=True)
+        del fields[missing]
+        with pytest.raises(TypeError, match=missing):
+            ApproxResult(**fields)
 
     @pytest.mark.parametrize("p", [1.0, np.inf])
     def test_failed_solve_raises(self, circle1024_es, rng, monkeypatch, p):

@@ -56,22 +56,22 @@ class TestBuildKernel:
         # G = 1 on the band: the kernel reproduces the span, and the weighted
         # trace counts the eigenfunctions
         es = circle512_es_1024
-        k = build_kernel(es, lambda lam: np.ones_like(lam), 1.0, "one")
+        k = build_kernel(es, lambda lam: np.ones_like(lam), 1.0)
         trace = float(es.model.weights @ np.diag(k.matrix))
         assert trace == pytest.approx(es.n_eigen, rel=1e-10)
 
     def test_zero_filter(self, circle512_es_1024):
         es = circle512_es_1024
-        k = build_kernel(es, lambda lam: 0.0 * lam, 1.0, "zero")
+        k = build_kernel(es, lambda lam: 0.0 * lam, 1.0)
         assert np.all(k.matrix == 0.0)
 
     def test_symmetry(self, circle512_es_1024):
-        k = build_kernel(circle512_es_1024, FAM.F, 0.25, "F")
+        k = build_kernel(circle512_es_1024, FAM.F, 0.25)
         assert k.symmetry_defect() < 1e-10
 
     def test_quadrature_route_matches_spectral_route(self, circle512_es_1024, rng):
         es = circle512_es_1024
-        k = build_kernel(es, FAM.F, 0.25, "F")
+        k = build_kernel(es, FAM.F, 0.25)
         for _ in range(5):
             f = random_bandlimited(es, rng, es.n_eigen)
             via_coeffs = apply_filter(es, FAM.F, 0.25, f)
@@ -82,11 +82,11 @@ class TestBuildKernel:
 class TestAlphaNorms:
     def test_zero_kernel(self, circle512_es_1024):
         es = circle512_es_1024
-        k = KernelMatrix(es.model, np.zeros((512, 512)), 1.0, "zero")
+        k = KernelMatrix(es.model, np.zeros((512, 512)), 1.0)
         assert kernel_alpha_norms(k, 1.0) == (0.0, 0.0)
 
     def test_symmetric_row_equals_column(self, circle512_es_1024):
-        k = build_kernel(circle512_es_1024, FAM.F, 0.25, "F")
+        k = build_kernel(circle512_es_1024, FAM.F, 0.25)
         row, col = kernel_alpha_norms(k, 3.0)
         assert row == pytest.approx(col, abs=1e-12)
 
@@ -94,12 +94,12 @@ class TestAlphaNorms:
         # Schur alpha=1 bound with alpha' = inf carries no power of t;
         # recorded value from the frozen filter family
         es = build_eigensystem(circle512, 65025.0)
-        k = build_kernel(es, FAM.F, 0.25, "F")
+        k = build_kernel(es, FAM.F, 0.25)
         row, _ = kernel_alpha_norms(k, 1.0)
         assert row == pytest.approx(1.5914196287866385, rel=1e-10)
 
     def test_rejects_alpha_below_one(self, circle512_es_1024):
-        k = build_kernel(circle512_es_1024, FAM.F, 0.25, "F")
+        k = build_kernel(circle512_es_1024, FAM.F, 0.25)
         with pytest.raises(ValueError):
             kernel_alpha_norms(k, 0.5)
 
@@ -107,7 +107,7 @@ class TestAlphaNorms:
 class TestYoung:
     def test_zero_kernel_trivial(self, circle512_es_1024):
         es = circle512_es_1024
-        k = KernelMatrix(es.model, np.zeros((512, 512)), 1.0, "zero")
+        k = KernelMatrix(es.model, np.zeros((512, 512)), 1.0)
         f = GridFunction(es.model, np.ones(512))
         lhs, rhs = young_apply_check(k, f, 2.0, 2.0, 1.0)
         assert lhs == 0.0 and rhs == 0.0
@@ -117,7 +117,7 @@ class TestYoung:
         m = build_circle(64)
         for _ in range(100):
             mat = rng.standard_normal((64, 64))
-            k = KernelMatrix(m, 0.5 * (mat + mat.T), 1.0, "rand")
+            k = KernelMatrix(m, 0.5 * (mat + mat.T), 1.0)
             f = GridFunction(m, rng.standard_normal(64))
             p = float(rng.choice([1.0, 1.5, 2.0, 4.0, np.inf]))
             lhs, rhs = young_apply_check(k, f, p, p, 1.0)
@@ -126,7 +126,7 @@ class TestYoung:
     def test_p1_alpha_q_nonnegative(self, rng):
         m = build_circle(64)
         for _ in range(100):
-            k = KernelMatrix(m, np.abs(rng.standard_normal((64, 64))), 1.0, "pos")
+            k = KernelMatrix(m, np.abs(rng.standard_normal((64, 64))), 1.0)
             f = GridFunction(m, np.abs(rng.standard_normal(64)))
             q = float(rng.choice([1.0, 2.0, 3.0]))
             lhs, rhs = young_apply_check(k, f, 1.0, q, q)
@@ -134,7 +134,7 @@ class TestYoung:
 
     def test_rejects_bad_exponents(self, circle512_es_1024):
         es = circle512_es_1024
-        k = build_kernel(es, FAM.F, 0.25, "F")
+        k = build_kernel(es, FAM.F, 0.25)
         f = GridFunction(es.model, np.ones(512))
         with pytest.raises(ValueError):
             young_apply_check(k, f, 2.0, 3.0, 2.0)
@@ -142,7 +142,7 @@ class TestYoung:
 
 class TestModelMatch:
     def test_function_from_another_model_rejected(self, circle512_es_1024):
-        k = build_kernel(circle512_es_1024, FAM.F, 0.25, "F")
+        k = build_kernel(circle512_es_1024, FAM.F, 0.25)
         f = GridFunction(build_circle(512), np.ones(512))
         with pytest.raises(ValueError, match="share a model"):
             apply_kernel(k, f)
@@ -153,18 +153,18 @@ class TestModelMatch:
 class TestDecayFit:
     def test_zero_kernel(self, circle512_es_1024):
         es = circle512_es_1024
-        k = KernelMatrix(es.model, np.zeros((512, 512)), 0.25, "zero")
+        k = KernelMatrix(es.model, np.zeros((512, 512)), 0.25)
         fit = fit_decay_constant(k, 3.0)
         assert fit.C == 0.0
 
     def test_larger_exponent_grows_constant(self, circle512_es_1024):
-        k = build_kernel(circle512_es_1024, FAM.F, 0.25, "F")
+        k = build_kernel(circle512_es_1024, FAM.F, 0.25)
         c3 = fit_decay_constant(k, 3.0).C
         c6 = fit_decay_constant(k, 6.0).C
         assert c6 >= c3
 
     def test_bound_holds_everywhere(self, circle512_es_1024):
-        k = build_kernel(circle512_es_1024, FAM.F, 0.25, "F")
+        k = build_kernel(circle512_es_1024, FAM.F, 0.25)
         fit = fit_decay_constant(k, 3.0)
         assert fit.slack.min() >= -1e-12 * fit.C
 
@@ -172,7 +172,7 @@ class TestDecayFit:
     def test_fits_at_the_kernel_scale(self, circle512_es_1024, t):
         # the envelope is C t^-n (1 + d/t)^-N at the kernel's own t, and the
         # minimal C makes it touch |K| somewhere
-        k = build_kernel(circle512_es_1024, FAM.F, t, "F")
+        k = build_kernel(circle512_es_1024, FAM.F, t)
         fit = fit_decay_constant(k, 3.0)
         assert fit.t == k.t == t
         d = circle512_es_1024.model.distance_matrix()
@@ -186,17 +186,17 @@ class TestDecayFit:
         cs = []
         for j in range(2, 7):
             t = 2.0 ** (-j)
-            k = build_kernel(es, FAM.F, t, "F")
+            k = build_kernel(es, FAM.F, t)
             cs.append(fit_decay_constant(k, 3.0).C)
         assert max(cs) / min(cs) < 4.0
 
     def test_rejects_small_exponent(self, circle512_es_1024):
-        k = build_kernel(circle512_es_1024, FAM.F, 0.25, "F")
+        k = build_kernel(circle512_es_1024, FAM.F, 0.25)
         with pytest.raises(ValueError):
             fit_decay_constant(k, 1.0)
 
     def test_csv_export(self, tmp_path, circle512_es_1024):
-        k = build_kernel(circle512_es_1024, FAM.F, 0.25, "F")
+        k = build_kernel(circle512_es_1024, FAM.F, 0.25)
         fit = fit_decay_constant(k, 3.0)
         write_table(str(tmp_path), "decay", ["t", "N", "C", "max_abs_K", "runtime_ms"],
                     [[fit.t, fit.N, fit.C, fit.max_abs_kernel, 12.0]])

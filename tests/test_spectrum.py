@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -174,6 +176,21 @@ class TestJsonRoundTrip:
         save_eigensystem(circle1024_es, path)
         with pytest.raises(ValueError):
             load_eigensystem(path, build_circle(64))
+
+    def test_failed_save_keeps_the_earlier_file(self, tmp_path, circle1024_es,
+                                                monkeypatch):
+        path = tmp_path / "es.json"
+        save_eigensystem(circle1024_es, path)
+        before = path.read_bytes()
+
+        def broken(doc, fh):
+            fh.write('{"format": "besovlab-eigen')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", broken)
+        with pytest.raises(OSError, match="disk full"):
+            save_eigensystem(circle1024_es, path)
+        assert path.read_bytes() == before
 
 
 # -- mesh eigensolve against a dense oracle ---------------------------------

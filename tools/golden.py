@@ -16,7 +16,9 @@ drift |a - b| / max(|a|, |b|) over numeric values, overall and per value of
 the row's ``p`` column (or the ``"p"`` of the enclosing JSON object or its
 ``"params"``), and the same for the numbers printed on stdout. Values whose
 magnitude is below 1e-10 on both sides are only counted, and the
-``runtime_ms`` column is skipped. It exits 1 when an exit code, stderr, the
+``runtime_ms`` column is skipped: a file that differs only there prints
+``identical (runtime_ms masked)``. A last line counts the identical outputs
+and those with drift. It exits 1 when an exit code, stderr, the
 ``report.json`` pass/fail list, the set of files or a non-numeric token of
 stdout or an output file differs, and 0 when only numeric drift is found.
 """
@@ -83,8 +85,11 @@ class Drift:
         self.worst: dict = {}
         self.text: list = []
         self.tiny = 0
+        self.changed = 0  # compared values that differ, in any way
+        self.masked = 0   # masked cells that differ
 
     def compare(self, a, b, p, where):
+        self.changed += a != b
         x, y = _number(a), _number(b)
         if x is None or y is None or isinstance(a, bool) or isinstance(b, bool):
             if a != b:
@@ -114,6 +119,7 @@ class Drift:
             p = ra[pcol] if pcol is not None and i > 0 else None
             for j, (a, b) in enumerate(zip(ra, rb)):
                 if j < len(header) and header[j] in MASKED and i > 0:
+                    self.masked += a != b
                     continue
                 self.compare(a, b, p, f"{where} row {i} col {j}")
 
@@ -186,6 +192,7 @@ def _summary(fname, drift):
 
 def diff(a_dir: str, b_dir: str) -> int:
     bad = False
+    same = drifted = 0
     for name in CONFIGS:
         codes = [_read(os.path.join(d, f"{name}.exit")).strip()
                  for d in (a_dir, b_dir)]
@@ -197,19 +204,21 @@ def diff(a_dir: str, b_dir: str) -> int:
         da, db = os.path.join(a_dir, name), os.path.join(b_dir, name)
         files_a, files_b = set(os.listdir(da)), set(os.listdir(db))
         if "report.json" in files_a and "report.json" in files_b:
-            same = (_verdicts(os.path.join(da, "report.json"))
-                    == _verdicts(os.path.join(db, "report.json")))
-            bad |= not same
-            heads.append(f"pass/fail {'same' if same else 'DIFFERS'}")
+            verdicts = (_verdicts(os.path.join(da, "report.json"))
+                        == _verdicts(os.path.join(db, "report.json")))
+            bad |= not verdicts
+            heads.append(f"pass/fail {'same' if verdicts else 'DIFFERS'}")
         print(f"{name}: " + ", ".join(heads))
         out_a = _read(os.path.join(a_dir, f"{name}.stdout"))
         out_b = _read(os.path.join(b_dir, f"{name}.stdout"))
         if out_a == out_b:
             print("  stdout: identical")
+            same += 1
         else:
             drift = Drift()
             drift.words(out_a, out_b, "stdout")
             bad |= _summary("stdout", drift)
+            drifted += 1
         for only, side in ((files_a - files_b, "A"), (files_b - files_a, "B")):
             for fname in sorted(only):
                 print(f"  {fname}: only in {side}")
@@ -219,6 +228,7 @@ def diff(a_dir: str, b_dir: str) -> int:
             with open(pa, "rb") as fa, open(pb, "rb") as fb:
                 if fa.read() == fb.read():
                     print(f"  {fname}: identical")
+                    same += 1
                     continue
             drift = Drift()
             if fname.endswith(".json"):
@@ -226,7 +236,13 @@ def diff(a_dir: str, b_dir: str) -> int:
                            fname)
             else:
                 drift.table(_rows(pa), _rows(pb), fname)
+            if drift.masked and not (drift.changed or drift.text):
+                print(f"  {fname}: identical ({', '.join(sorted(MASKED))} masked)")
+                same += 1
+                continue
             bad |= _summary(fname, drift)
+            drifted += 1
+    print(f"{same} outputs identical, {drifted} with drift")
     return 1 if bad else 0
 
 
