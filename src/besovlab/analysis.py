@@ -5,10 +5,10 @@ The dyadic approximation norm ("a-norm")
     ||f||_p + ( sum_{j=0..J} (2^(alpha j) E(f, 4^j, p))^q )^(1/q)
 
 is the central object. Alongside it: a continuous-in-t version integrated
-exactly against the step structure of E(f, t, p), the spectral Sobolev
-surrogate ||f||_p + ||L^(k/2) f||_p, an independent Littlewood-Paley
-comparator norm built from the dyadic filter bank, Jackson and Bernstein
-ratio checks, and a quadratic-mean K-functional for the pair (L_2, W^k_2).
+exactly against the step structure of E(f, t, p), an independent
+Littlewood-Paley comparator norm built from the dyadic filter bank, Jackson
+and Bernstein ratio checks, and a quadratic-mean K-functional for the pair
+(L_2, W^k_2).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import ApproxResult, best_approx
-from .filters import make_filter_family
+from .filters import FilterFamily
 from .manifold import GridFunction, lp_norm
 from .spectrum import EigenSystem, apply_power, project, synthesize
 
@@ -46,16 +46,6 @@ class BesovParams:
             raise ValueError("J must be at least 1")
 
 
-@dataclass
-class NormReport:
-    """A-norm evaluation: the total, its L_p part and its dyadic terms."""
-
-    a_norm: float
-    lp_part: float
-    dyadic_tail_terms: list
-    tail_residual: float
-
-
 def _q_sum(terms: np.ndarray, q: float) -> float:
     terms = np.asarray(terms, dtype=float)
     if len(terms) == 0:
@@ -69,38 +59,18 @@ def _q_sum(terms: np.ndarray, q: float) -> float:
 
 
 def a_norm(eigsys: EigenSystem, f: GridFunction, params: BesovParams,
-           cache: ErrorCache | None = None) -> NormReport:
+           cache: ErrorCache | None = None) -> float:
     """Dyadic approximation norm truncated at level J.
 
-    E(f, 4^j, p) (j = 0..J) comes from ``errors_at_cutoffs`` through
-    ``cache``. Terms beyond J are not silently dropped: a geometric
-    extrapolation from the last observed decay is reported as
-    ``tail_residual``.
+    The sum runs over j = 0..J and stops there; E(f, 4^j, p) comes from
+    ``errors_at_cutoffs`` through ``cache``.
     """
     if 4.0 ** params.J > eigsys.band_limit:
         raise ValueError("4^J exceeds the computed band limit")
-    model = eigsys.model
     errors = [r.error for r in errors_at_cutoffs(
         eigsys, f, params.p, [4.0 ** j for j in range(params.J + 1)], cache)]
-    lp_part = lp_norm(model, f, params.p)
     terms = [2.0 ** (params.alpha * j) * errors[j] for j in range(params.J + 1)]
-    total = lp_part + _q_sum(np.array(terms), params.q)
-    return NormReport(a_norm=total, lp_part=lp_part, dyadic_tail_terms=terms,
-                      tail_residual=_tail_residual(errors, params))
-
-
-def _tail_residual(errors, params):
-    e_last = errors[-1]
-    if e_last == 0.0:
-        return 0.0
-    ratio = errors[-1] / errors[-2] if len(errors) > 1 and errors[-2] > 0 else 1.0
-    r = 2.0 ** params.alpha * min(ratio, 1.0)
-    head = 2.0 ** (params.alpha * params.J) * e_last
-    if r >= 1.0:
-        return float("inf")
-    if np.isinf(params.q):
-        return head * r
-    return head * r / (1.0 - r ** params.q) ** (1.0 / params.q)
+    return lp_norm(eigsys.model, f, params.p) + _q_sum(np.array(terms), params.q)
 
 
 class ErrorCache:
@@ -210,26 +180,18 @@ def _require_bandlimited(eigsys, f):
     return c
 
 
-def sobolev_norm(eigsys: EigenSystem, f: GridFunction, k: int, p: float) -> float:
-    """Spectral Sobolev surrogate ||f||_p + ||L^(k/2) f||_p (f bandlimited)."""
-    c = _require_bandlimited(eigsys, f)
-    rough = synthesize(eigsys, apply_power(eigsys, c, k / 2.0))
-    model = eigsys.model
-    return lp_norm(model, f, p) + lp_norm(model, rough, p)
-
-
 def lp_comparator_norm(eigsys: EigenSystem, f: GridFunction,
                        params: BesovParams,
                        cache: ErrorCache | None = None) -> float:
     """Littlewood-Paley comparator: ||F_0(L)f||_p + l_q sum of scaled blocks.
 
-    The filter bank is ``make_filter_family()`` applied at unit scale, so
+    The filter bank is ``FilterFamily()`` applied at unit scale, so
     block j covers eigenvalues in [4^(j-1), 16*4^(j-1)]; blocks beyond the
     band limit vanish identically and the sum is finite without truncation
     error. The block norms depend only on (f, p): each is computed once per
     ``cache``, and (alpha, q) only re-weight them.
     """
-    family = make_filter_family()
+    family = FilterFamily()
     cache = ErrorCache() if cache is None else cache
     blocks = cache.lookup(f, params.p, family)
     if blocks is None:

@@ -19,6 +19,7 @@ kernel-decay CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -33,7 +34,7 @@ from . import corpus as corpus_mod
 from .analysis import (BesovParams, ErrorCache, a_norm, a_norm_continuous,
                        bernstein_ratio, errors_at_cutoffs, interpolation_norm,
                        is_bandlimited, jackson_ratios, lp_comparator_norm)
-from .filters import check_partition, make_filter_family
+from .filters import FilterFamily, check_partition
 from .manifold import (GridFunction, build_circle, build_sphere2, build_torus2,
                        lp_norm)
 from .mesh import load_mesh
@@ -128,6 +129,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
             if not admissible(v):
                 raise ConfigError(f"parameter grid {key!r} holds {v}; "
                                   f"values must be {rule}")
+    for key in ("k", "jmax", "trials"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} is {cfg[key]}; it must be at least 1")
     if cfg["manifold"] == "mesh":
         if not cfg["mesh"]:
             raise ConfigError("mesh manifold needs --mesh <path>")
@@ -161,10 +165,16 @@ def build_model_and_eigsys(cfg: dict, need_levels: bool = True):
 # output helpers
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``path.tmp`` and rename it over ``path``; a failed write removes it."""
     tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _fmt(x) -> str:
@@ -233,7 +243,7 @@ def run_spectrum(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
 
 
 def run_filters(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
-    fam = make_filter_family(cfg["k"])
+    fam = FilterFamily()
     J = 5
     grid = np.linspace(0.0, 4.0 ** J, 10001)
     dev = check_partition(fam, J, grid)
@@ -245,7 +255,7 @@ def run_filters(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
 
 
 def run_kernel_decay(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
-    fam = make_filter_family(cfg["k"])
+    fam = FilterFamily()
     n_dim = model.dim
     # scales 2^-j, 0 < t <= 1, whose filter band the eigensystem covers
     usable = [2.0 ** (-j) for j in range(0, 7)
@@ -411,7 +421,7 @@ def run_besov(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
             for p in cfg["p"]:
                 for q in cfg["q"]:
                     params = BesovParams(alpha=alpha, p=p, q=q, J=J)
-                    a = a_norm(eigsys, f, params, cache).a_norm
+                    a = a_norm(eigsys, f, params, cache)
                     comp = lp_comparator_norm(eigsys, f, params, cache=cache)
                     ratio = a / comp if comp > 0 else float("inf")
                     ratios.append(ratio)
@@ -434,15 +444,15 @@ def run_besov(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
     for entry, f, bandlimited in funcs:
         for alpha in cfg["alpha"]:
             params = BesovParams(alpha=alpha, p=2.0, q=2.0, J=J)
-            rep = a_norm(eigsys, f, params, cache)
+            a = a_norm(eigsys, f, params, cache)
             cont = a_norm_continuous(eigsys, f, alpha, 2.0, 2.0, t_grid, cache)
-            ratio = rep.a_norm / cont
+            ratio = a / cont
             ok = 1.0 / 8.0 <= ratio <= 8.0
             report.check(f"besov.continuous[{entry.id},alpha={alpha:g}]",
                          ok, ratio, 8.0)
             if 0 < alpha / k < 1 and bandlimited:
                 inorm = interpolation_norm(eigsys, f, alpha / k, 2.0, k, kt_grid)
-                iratio = rep.a_norm / inorm
+                iratio = a / inorm
                 report.check(f"besov.interpolation[{entry.id},alpha={alpha:g}]",
                              1.0 / 32.0 <= iratio <= 32.0, iratio, 32.0)
     write_table(outdir, "besov",

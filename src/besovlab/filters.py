@@ -1,10 +1,9 @@
-"""Smooth dyadic cutoffs: the bump h, the band filters F_j and the Psi_j.
+"""Smooth dyadic cutoffs: the bump h and the band filters F_j.
 
 h is 1 on [0,1], 0 on [4,inf) and infinitely smooth in between (exp(-1/x)
 step). F(lam) = h(lam/4) - h(lam) is supported in [1,16]; rescaling by powers
 of 4 gives the dyadic family F_j with F_0 = h, which telescopes to a partition
-of unity. Psi_j divides out lam^(k/2) on the block, always evaluated in the
-scaled variable so large j cannot overflow.
+of unity.
 """
 
 from __future__ import annotations
@@ -42,17 +41,11 @@ class SmoothCutoff:
         return out if out.ndim else float(out)
 
 
-def make_bump() -> SmoothCutoff:
-    """The C-infinity cutoff equal to 1 on [0,1] and supported in [0,4]."""
-    return SmoothCutoff()
-
-
 @dataclass(frozen=True)
 class FilterFamily:
-    """Dyadic filter bank built from a smooth cutoff and a Sobolev order k."""
+    """The dyadic filter bank F_j built from the bump h = ``SmoothCutoff()``."""
 
-    h: SmoothCutoff
-    k: int = 2
+    h = SmoothCutoff()
 
     def F(self, lam):
         return self.h(np.asarray(lam, dtype=float) / 4.0) - self.h(lam)
@@ -64,28 +57,6 @@ class FilterFamily:
         if j == 0:
             return self.h(lam)
         return self.F(np.asarray(lam, dtype=float) / 4.0 ** (j - 1))
-
-    def psi(self, lam):
-        """Psi(lam) = F(lam) / lam^(k/2), zero off the support [1,16]."""
-        scalar = np.ndim(lam) == 0
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        fv = np.atleast_1d(np.asarray(self.F(lam)))
-        out = np.zeros_like(fv)
-        on = fv != 0
-        out[on] = fv[on] / lam[on] ** (self.k / 2.0)
-        return float(out[0]) if scalar else out
-
-    def psi_j(self, j: int, lam):
-        """Psi_j(lam) = Psi(lam / 4^(j-1)), evaluated in the scaled variable."""
-        if j < 1 or j != int(j):
-            raise ValueError("j must be a positive integer")
-        return self.psi(np.asarray(lam, dtype=float) / 4.0 ** (j - 1))
-
-
-def make_filter_family(k: int = 2) -> FilterFamily:
-    if k < 1 or k != int(k):
-        raise ValueError("Sobolev order k must be a positive integer")
-    return FilterFamily(make_bump(), int(k))
 
 
 def check_partition(family: FilterFamily, J: int, lam_grid) -> float:

@@ -15,6 +15,9 @@ import numpy as np
 class ManifoldModel:
     """Quadrature nodes, weights and geodesic distances of a compact manifold.
 
+    The geodesics are read through ``distance_matrix()``, which builds the
+    full n x n matrix on first use and caches it.
+
     Parameters
     ----------
     kind : str
@@ -28,11 +31,11 @@ class ManifoldModel:
     weights : ndarray
         Positive quadrature weights summing to the total measure.
     params : dict
-        Constructor parameters (used for resolution checks and descriptors).
+        Constructor parameters. The torus and sphere eigensystems read their
+        grid sizes here, and ``save_eigensystem`` echoes them.
     faces : ndarray, optional
         Triangles of a ``mesh`` model, one row of three vertex indices per
-        face. Mesh geodesics are shortest paths on the edge graph, computed
-        on first use and cached, like the distance matrix of the other kinds.
+        face. Mesh geodesics are shortest paths on the edge graph.
     """
 
     def __init__(self, kind, dim, nodes, weights, params=None, faces=None):
@@ -53,20 +56,6 @@ class ManifoldModel:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
-    def distances_from(self, i: int) -> np.ndarray:
-        """Geodesic distances from node i to every node."""
-        if self._dist is not None or self.kind == "mesh":
-            return self.distance_matrix()[i]
-        return self._pairwise(self.nodes[i:i + 1, :], self.nodes)[0]
-
-    def distance(self, i: int, j: int) -> float:
-        """Geodesic distance between nodes i and j."""
-        if i == j:
-            return 0.0
-        if self._dist is not None or self.kind == "mesh":
-            return float(self.distance_matrix()[i, j])
-        return float(self._pairwise(self.nodes[i:i + 1, :], self.nodes[j:j + 1, :])[0, 0])
-
     def distance_matrix(self) -> np.ndarray:
         """Full pairwise geodesic distance matrix (cached, exact zero diagonal)."""
         if self._dist is None:
@@ -74,23 +63,24 @@ class ManifoldModel:
                 from . import mesh  # deferred: mesh imports this module
                 self._dist = mesh.edge_graph_distances(self.nodes, self.faces)
             else:
-                d = self._pairwise(self.nodes, self.nodes)
+                d = self._pairwise()
                 np.fill_diagonal(d, 0.0)
                 self._dist = d
         return self._dist
 
-    def _pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _pairwise(self) -> np.ndarray:
+        x = self.nodes
         if self.kind == "circle":
-            diff = np.abs(a[:, 0][:, None] - b[:, 0][None, :])
+            diff = np.abs(x[:, 0][:, None] - x[:, 0][None, :])
             return np.minimum(diff, 2 * np.pi - diff)
         if self.kind == "torus2":
-            out = np.zeros((a.shape[0], b.shape[0]))
+            out = np.zeros((self.n_nodes, self.n_nodes))
             for c in range(2):
-                diff = np.abs(a[:, c][:, None] - b[:, c][None, :])
+                diff = np.abs(x[:, c][:, None] - x[:, c][None, :])
                 out += np.minimum(diff, 2 * np.pi - diff) ** 2
             return np.sqrt(out)
         if self.kind == "sphere2":
-            dots = np.clip(a @ b.T, -1.0, 1.0)
+            dots = np.clip(x @ x.T, -1.0, 1.0)
             return np.arccos(dots)
         raise ValueError(f"no coordinate distance rule for kind {self.kind!r}")
 
@@ -195,8 +185,3 @@ def _weighted_norm(w: np.ndarray, values: np.ndarray, p: float) -> float:
     # factor out the max to keep a^p in range for large p
     return float(m * (w @ (a / m) ** p) ** (1.0 / p))
 
-
-def ball_volume(model: ManifoldModel, center: int, radius: float) -> float:
-    """Quadrature measure of the geodesic ball B(x_center, radius)."""
-    d = model.distances_from(center)
-    return float(model.weights[d <= radius].sum())

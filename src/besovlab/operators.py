@@ -33,9 +33,6 @@ class KernelMatrix:
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("kernel has non-finite entries")
 
-    def symmetry_defect(self) -> float:
-        return float(np.abs(self.matrix - self.matrix.T).max())
-
 
 @dataclass
 class DecayFit:
@@ -45,7 +42,6 @@ class DecayFit:
     N: float
     C: float
     max_abs_kernel: float
-    slack: np.ndarray  # per-pair gap C*t^-n*(1+d/t)^-N - |K|, >= 0
 
 
 def _multiplier_values(eigsys: EigenSystem, G, t: float) -> np.ndarray:
@@ -127,10 +123,8 @@ def fit_decay_constant(K: KernelMatrix, N: float) -> DecayFit:
     d = model.distance_matrix()
     envelope = t ** (-model.dim) * (1.0 + d / t) ** (-float(N))
     a = np.abs(K.matrix)
-    c = float((a / envelope).max())
-    return DecayFit(t=float(t), N=float(N), C=c,
-                    max_abs_kernel=float(a.max()),
-                    slack=c * envelope - a)
+    return DecayFit(t=float(t), N=float(N), C=float((a / envelope).max()),
+                    max_abs_kernel=float(a.max()))
 
 
 def operator_norm_estimate(eigsys: EigenSystem, G, t: float, p: float, q: float,

@@ -11,6 +11,7 @@ the bandlimited space at cutoff eigenvalues[k-1].
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass
@@ -304,7 +305,7 @@ def save_eigensystem(eigsys: EigenSystem, path) -> None:
     """Export as JSON (eigenvalues + row-major eigenfunctions + descriptor).
 
     The document is streamed into ``<path>.tmp`` and renamed over ``path``,
-    so a failed write leaves an earlier file intact.
+    so a failed write leaves an earlier file intact and no temp file.
     """
     doc = {
         "format": "besovlab-eigensystem",
@@ -322,24 +323,12 @@ def save_eigensystem(eigsys: EigenSystem, path) -> None:
         "labels": [list(lab) for lab in eigsys.labels],
     }
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
-
-def load_eigensystem(path, model: ManifoldModel) -> EigenSystem:
-    """Load a JSON eigensystem and attach it to a compatible model."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "besovlab-eigensystem":
-        raise ValueError("not an eigensystem document")
-    if doc["model"]["kind"] != model.kind or doc["model"]["n_nodes"] != model.n_nodes:
-        raise ValueError("eigensystem document does not match the model")
-    lam = np.array(doc["eigenvalues"])
-    funcs = np.array(doc["eigenfunctions"]).reshape(model.n_nodes, len(lam))
-    labels = [tuple(_untuple(x) for x in lab) for lab in doc["labels"]]
-    return EigenSystem(model, lam, funcs, float(doc["band_limit"]), labels)
-
-
-def _untuple(x):
-    return tuple(_untuple(y) for y in x) if isinstance(x, list) else x

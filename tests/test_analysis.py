@@ -9,10 +9,9 @@ from besovlab.analysis import (BesovParams, ErrorCache, a_norm,
                                a_norm_continuous, bernstein_ratio,
                                errors_at_cutoffs, interpolation_norm,
                                is_bandlimited, jackson_ratios,
-                               k_functional_quadratic, lp_comparator_norm,
-                               sobolev_norm)
+                               k_functional_quadratic, lp_comparator_norm)
 from besovlab.corpus import default_corpus, lacunary
-from besovlab.filters import make_filter_family
+from besovlab.filters import FilterFamily
 from besovlab.manifold import GridFunction, build_circle, lp_norm
 from besovlab.spectrum import CoefVector, build_eigensystem, synthesize
 
@@ -95,11 +94,11 @@ class TestSharedCache:
         cutoffs = [1.0, 4.0, 16.0, 64.0]
         for p in (1.0, 2.0):
             params = BesovParams(alpha=1.0, p=p, q=2.0, J=3)
-            rep = a_norm(es, f, params, cache)
+            a = a_norm(es, f, params, cache)
             jackson_ratios(es, f, 2, p, 3, cache)
             assert (lp_comparator_norm(es, f, params, cache=cache)
                     == lp_comparator_norm(es, f, params))
-            assert a_norm(es, f, params, cache).a_norm == rep.a_norm
+            assert a_norm(es, f, params, cache) == a
         assert len(solved) == len(set(solved)) == 8
         results = {p: errors_at_cutoffs(es, f, p, cutoffs, cache) for p in (1.0, 2.0)}
         assert len(solved) == 8
@@ -116,27 +115,31 @@ class TestANorm:
     def test_zero_function(self, circle512_es_1024):
         es = circle512_es_1024
         f = GridFunction(es.model, np.zeros(es.model.n_nodes))
-        rep = a_norm(es, f, BesovParams(alpha=1.0, p=2.0, q=2.0, J=3))
-        assert rep.a_norm == 0.0 and rep.lp_part == 0.0
+        assert a_norm(es, f, BesovParams(alpha=1.0, p=2.0, q=2.0, J=3)) == 0.0
+        assert lp_norm(es.model, f, 2.0) == 0.0
 
     def test_lowest_mode_reduces_to_lp(self, circle512_es_1024):
         # u with lambda = 1 is inside every dyadic cutoff 4^j >= 1
         es = circle512_es_1024
         f = pure(es, es.index_of(("cos", 1)))
+        cache = ErrorCache()
         for p in (1.0, 2.0, np.inf):
-            rep = a_norm(es, f, BesovParams(alpha=0.7, p=p, q=1.0, J=3))
-            assert rep.a_norm == pytest.approx(lp_norm(es.model, f, p), abs=1e-9)
-            assert max(rep.dyadic_tail_terms) < 1e-9
+            a = a_norm(es, f, BesovParams(alpha=0.7, p=p, q=1.0, J=3), cache)
+            assert a == pytest.approx(lp_norm(es.model, f, p), abs=1e-9)
+            results = errors_at_cutoffs(es, f, p, [4.0 ** j for j in range(4)], cache)
+            assert max(2.0 ** (0.7 * j) * r.error for j, r in enumerate(results)) < 1e-9
 
     def test_sup_term_attained_at_zero(self, circle512_es_1024):
         # lacunary alpha0 = 1 with params alpha = 0.5, q = inf: terms
         # 2^(j/2) E_j ~ 2^(-j/2) decay, so the sup sits at j = 0
         es = circle512_es_1024
         f = lacunary(1.0, 5).build(es.model, es)
-        rep = a_norm(es, f, BesovParams(alpha=0.5, p=2.0, q=np.inf, J=5))
-        terms = rep.dyadic_tail_terms
+        cache = ErrorCache()
+        a = a_norm(es, f, BesovParams(alpha=0.5, p=2.0, q=np.inf, J=5), cache)
+        results = errors_at_cutoffs(es, f, 2.0, [4.0 ** j for j in range(6)], cache)
+        terms = [2.0 ** (0.5 * j) * r.error for j, r in enumerate(results)]
         assert max(terms) == terms[0]
-        assert rep.a_norm == pytest.approx(rep.lp_part + terms[0], rel=1e-12)
+        assert a == pytest.approx(lp_norm(es.model, f, 2.0) + terms[0], rel=1e-12)
 
     def test_monotone_in_alpha(self, circle512_es_1024, rng):
         es = circle512_es_1024
@@ -144,30 +147,13 @@ class TestANorm:
         cache = ErrorCache()
         lo = a_norm(es, f, BesovParams(alpha=0.5, p=2.0, q=2.0, J=3), cache)
         hi = a_norm(es, f, BesovParams(alpha=1.5, p=2.0, q=2.0, J=3), cache)
-        assert lo.a_norm <= hi.a_norm
-
-    def test_tail_residual_finite_for_decaying_errors(self, circle512_es_1024):
-        es = circle512_es_1024
-        f = lacunary(1.5, 5).build(es.model, es)
-        rep = a_norm(es, f, BesovParams(alpha=1.0, p=2.0, q=2.0, J=4))
-        assert np.isfinite(rep.tail_residual)
-
-    def test_tail_residual_flags_insufficient_smoothness(self, circle512_es):
-        # lacunary decay rate 1: the q = inf sup-terms 2^(alpha j) E_j decay
-        # for alpha < 1 but grow for alpha > 1, and the reported tail
-        # extrapolation diverges exactly then
-        es = circle512_es
-        f = lacunary(1.0, 7).build(es.model, es)
-        low = a_norm(es, f, BesovParams(alpha=0.5, p=2.0, q=np.inf, J=5))
-        high = a_norm(es, f, BesovParams(alpha=1.5, p=2.0, q=np.inf, J=5))
-        assert np.isfinite(low.tail_residual)
-        assert high.tail_residual == np.inf
+        assert lo <= hi
 
     def test_quasinorm_small_q(self, circle512_es_1024):
         es = circle512_es_1024
         f = lacunary(1.0, 5).build(es.model, es)
-        rep = a_norm(es, f, BesovParams(alpha=0.5, p=2.0, q=0.5, J=5))
-        assert np.isfinite(rep.a_norm) and rep.a_norm > rep.lp_part
+        a = a_norm(es, f, BesovParams(alpha=0.5, p=2.0, q=0.5, J=5))
+        assert np.isfinite(a) and a > lp_norm(es.model, f, 2.0)
 
 
 class TestANormContinuous:
@@ -192,10 +178,10 @@ class TestANormContinuous:
         cache = ErrorCache()
         for entry in default_corpus("circle"):
             f = entry.build(es.model, es)
-            rep = a_norm(es, f, BesovParams(alpha=1.0, p=2.0, q=q, J=5), cache)
+            a = a_norm(es, f, BesovParams(alpha=1.0, p=2.0, q=q, J=5), cache)
             cont = a_norm_continuous(es, f, 1.0, 2.0, q,
                                      np.geomspace(1.0, 4.0 ** 5, 30), cache)
-            assert 1.0 / 8.0 <= rep.a_norm / cont <= 8.0
+            assert 1.0 / 8.0 <= a / cont <= 8.0
 
 
 class TestErrorCache:
@@ -235,49 +221,6 @@ class TestErrorCache:
         assert cache.lookup(GridFunction(es.model, values), 2.0, 4.0) is not None
 
 
-class TestSobolevNorm:
-    def test_constant(self, circle512_es_1024):
-        es = circle512_es_1024
-        f = GridFunction(es.model, np.full(es.model.n_nodes, 2.0))
-        # projection roundoff (~1e-17) is amplified by lambda^k, so 1e-9
-        for p in (1.0, 2.0, np.inf):
-            assert sobolev_norm(es, f, 2, p) == pytest.approx(
-                lp_norm(es.model, f, p), rel=1e-9)
-
-    def test_pure_eigenfunction(self, circle512_es_1024):
-        es = circle512_es_1024
-        l = es.index_of(("sin", 2))
-        f = pure(es, l)
-        lam = es.eigenvalues[l]
-        assert sobolev_norm(es, f, 2, 2.0) == pytest.approx(1 + lam, rel=1e-10)
-
-    def test_first_order_cosine(self, circle512_es_1024):
-        # k = 1: L^(1/2) multiplies cos(3x) by 3
-        es = circle512_es_1024
-        x = es.model.nodes[:, 0]
-        f = GridFunction(es.model, np.cos(3 * x))
-        expected = lp_norm(es.model, f, 2) * (1 + 3)
-        assert sobolev_norm(es, f, 1, 2.0) == pytest.approx(expected, rel=1e-10)
-
-    def test_rejects_non_bandlimited(self, circle512_es_1024):
-        es = circle512_es_1024
-        vals = np.sign(np.sin(es.model.nodes[:, 0]))
-        with pytest.raises(ValueError, match="bandlimited"):
-            sobolev_norm(es, GridFunction(es.model, vals), 2, 2.0)
-
-    def test_checks_and_projects_once(self, circle512_es_1024, rng, monkeypatch):
-        # the bandlimit check hands its coefficients on, no second projection
-        import besovlab.analysis as analysis
-        es = circle512_es_1024
-        f = random_band(es, rng, 9)
-        calls = []
-        orig = analysis.project
-        monkeypatch.setattr(analysis, "project",
-                            lambda es, f: calls.append(f) or orig(es, f))
-        sobolev_norm(es, f, 2, 2.0)
-        assert len(calls) == 1
-
-
 class TestComparatorNorm:
     def test_low_band_reduces_to_lp(self, circle512_es_1024):
         # span {lambda <= 1}: F_0 = 1 there and every F_j (j >= 1) vanishes
@@ -303,9 +246,9 @@ class TestComparatorNorm:
         for entry in default_corpus("circle"):
             f = entry.build(es.model, es)
             params = BesovParams(alpha=1.0, p=2.0, q=2.0, J=5)
-            rep = a_norm(es, f, params, cache)
+            a = a_norm(es, f, params, cache)
             comp = lp_comparator_norm(es, f, params, cache=cache)
-            ratio = rep.a_norm / comp
+            ratio = a / comp
             worst = max(worst, ratio, 1.0 / ratio)
         assert worst < 50.0
 
@@ -341,11 +284,11 @@ class TestComparatorNorm:
         cache = ErrorCache()
         params = BesovParams(alpha=1.0, p=2.0, q=2.0, J=2)
         comp = lp_comparator_norm(es, f, params, cache=cache)
-        rep = a_norm(es, f, params, cache)
-        assert rep.a_norm >= rep.lp_part
-        assert a_norm(es, f, params).a_norm == rep.a_norm
+        a = a_norm(es, f, params, cache)
+        assert a >= lp_norm(es.model, f, 2.0)
+        assert a_norm(es, f, params) == a
         assert lp_comparator_norm(es, f, params, cache=cache) == comp
-        blocks = cache.lookup(f, 2.0, make_filter_family())
+        blocks = cache.lookup(f, 2.0, FilterFamily())
         assert isinstance(blocks, tuple) and len(blocks) > 1
         assert cache.lookup(f, 2.0, 1.0).omega == 1.0
 
@@ -369,6 +312,23 @@ class TestJacksonRatios:
         ratios = np.array(jackson_ratios(es, f, 2, 2.0, 6))
         assert ratios.max() / np.median(ratios) < 10.0
 
+    def test_rejects_non_bandlimited(self, circle512_es_1024):
+        es = circle512_es_1024
+        vals = np.sign(np.sin(es.model.nodes[:, 0]))
+        with pytest.raises(ValueError, match="bandlimited"):
+            jackson_ratios(es, GridFunction(es.model, vals), 2, 2.0, 3)
+
+    def test_checks_and_projects_once(self, circle512_es_1024, rng, monkeypatch):
+        # the bandlimit check hands its coefficients on, no second projection
+        import besovlab.analysis as analysis
+        es = circle512_es_1024
+        f = random_band(es, rng, 9)
+        calls = []
+        orig = analysis.project
+        monkeypatch.setattr(analysis, "project",
+                            lambda es, f: calls.append(f) or orig(es, f))
+        jackson_ratios(es, f, 2, 2.0, 3)
+        assert len(calls) == 1
 
 
 class TestBernsteinRatio:
@@ -487,7 +447,7 @@ class TestInterpolationNorm:
                 continue
             for alpha, k in ((0.5, 2), (1.0, 2), (1.5, 2)):
                 params = BesovParams(alpha=alpha, p=2.0, q=2.0, J=5)
-                an = a_norm(es, f, params, cache).a_norm
+                an = a_norm(es, f, params, cache)
                 inorm = interpolation_norm(es, f, alpha / k, 2.0, k, tg)
                 assert 1.0 / 8.0 <= an / inorm <= 8.0
 

@@ -77,6 +77,48 @@ class TestConfig:
         assert code == 2
         assert "parameter grid 'p' holds nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["young", "--nodes", "64", "--trials", "0"],
+        ["approx", "--nodes", "64", "--jmax", "-1"],
+        ["jackson", "--nodes", "64", "--jmax", "-1"],
+        ["jackson", "--nodes", "64", "--k", "0"],
+        ["bernstein", "--nodes", "64", "--trials", "0"],
+        ["kernel-decay", "--nodes", "512", "--trials", "0"]])
+    def test_count_below_one_is_config_error(self, tmp_path, capsys, args):
+        # k, jmax and trials below 1 would make every check over them vacuous
+        out = tmp_path / "o"
+        assert run_cli(args + ["--out", str(out)]) == 2
+        assert "it must be at least 1" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.csv"
+        cli._atomic_write(str(path), "a,b\n")
+        real_open = open
+
+        class Broken:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "open", lambda *a, **kw: Broken(real_open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            cli._atomic_write(str(path), "x,y\n")
+        assert path.read_text() == "a,b\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
 
 class TestAbort:
     @pytest.mark.parametrize("exc, code", [

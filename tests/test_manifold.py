@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from besovlab.manifold import (GridFunction, ball_volume, build_circle,
-                               build_sphere2, build_torus2, lp_norm)
+from besovlab.manifold import (GridFunction, build_circle, build_sphere2,
+                               build_torus2, lp_norm)
 
 
 class TestCircle:
@@ -12,11 +12,11 @@ class TestCircle:
 
     def test_antipodal_distance(self, circle1024):
         # nodes 0 and pi
-        assert circle1024.distance(0, 512) == pytest.approx(np.pi)
+        assert circle1024.distance_matrix()[0, 512] == pytest.approx(np.pi)
 
     def test_wraparound_distance(self, circle1024):
         # nodes 0 and 3*pi/2 wrap to pi/2
-        assert circle1024.distance(0, 768) == pytest.approx(np.pi / 2)
+        assert circle1024.distance_matrix()[0, 768] == pytest.approx(np.pi / 2)
 
     def test_rejects_small_and_odd(self):
         with pytest.raises(ValueError):
@@ -40,8 +40,8 @@ class TestTorus:
         i0 = int(np.argmin(np.abs(nodes[:, 0]) + np.abs(nodes[:, 1])))
         ipi0 = int(np.argmin(np.abs(nodes[:, 0] - np.pi) + np.abs(nodes[:, 1])))
         ipipi = int(np.argmin(np.abs(nodes[:, 0] - np.pi) + np.abs(nodes[:, 1] - np.pi)))
-        assert torus16.distance(i0, ipi0) == pytest.approx(np.pi)
-        assert torus16.distance(i0, ipipi) == pytest.approx(np.pi * np.sqrt(2))
+        assert torus16.distance_matrix()[i0, ipi0] == pytest.approx(np.pi)
+        assert torus16.distance_matrix()[i0, ipipi] == pytest.approx(np.pi * np.sqrt(2))
 
     def test_rejects_small(self):
         with pytest.raises(ValueError):
@@ -60,7 +60,7 @@ class TestSphere:
             sphere16.nodes + sphere16.nodes[north], axis=1)))
         assert np.allclose(sphere16.nodes[antipode], -sphere16.nodes[north],
                            atol=1e-12)
-        assert sphere16.distance(north, antipode) == pytest.approx(np.pi)
+        assert sphere16.distance_matrix()[north, antipode] == pytest.approx(np.pi)
 
     def test_degree_one_harmonic_integrates_to_zero(self):
         m = build_sphere2(8)
@@ -140,7 +140,8 @@ class TestBallVolume:
         m = builder()
         radii = np.geomspace(0.15, 1.0, 8)
         center = m.n_nodes // 3
-        vols = np.array([ball_volume(m, center, r) for r in radii])
+        d = m.distance_matrix()[center]
+        vols = np.array([m.weights[d <= r].sum() for r in radii])
         slope = np.polyfit(np.log(radii), np.log(vols), 1)[0]
         assert abs(slope - dim) < 0.3
 

@@ -24,7 +24,7 @@ def test_adjacent_vertex_distance_is_edge_length(tmp_path):
     write_off(path, verts, faces)
     model = load_mesh(path)
     i, j = int(faces[0][0]), int(faces[0][1])
-    assert model.distance(i, j) == pytest.approx(np.linalg.norm(verts[i] - verts[j]))
+    assert model.distance_matrix()[i, j] == pytest.approx(np.linalg.norm(verts[i] - verts[j]))
 
 
 def test_refined_icosphere_area_approaches_sphere(tmp_path):
@@ -88,10 +88,9 @@ def test_geodesics_computed_on_first_use(icosphere3_path, monkeypatch):
         build_eigensystem(model, 30.0)
     _, faces = parse_off(icosphere3_path.read_text())
     np.testing.assert_array_equal(model.faces, faces)
-    row, d_5_17 = model.distances_from(5), model.distance(5, 17)
     d = model.distance_matrix()
-    np.testing.assert_array_equal(row, d[5])
-    assert d_5_17 == d[5, 17] > 0.0
+    assert d is model.distance_matrix()
+    assert d[5, 17] > 0.0
     assert np.all(np.diag(d) == 0.0)
 
 

@@ -13,8 +13,8 @@ from besovlab.cli import main
 from besovlab.manifold import GridFunction, build_circle, lp_norm
 from besovlab.mesh import cotangent_stiffness, icosphere, load_mesh, write_off
 from besovlab.spectrum import (CoefVector, apply_power, build_eigensystem,
-                               check_orthonormality, load_eigensystem, project,
-                               save_eigensystem, synthesize)
+                               check_orthonormality, project, save_eigensystem,
+                               synthesize)
 
 
 class TestBuild:
@@ -158,24 +158,23 @@ class TestApplyPower:
 
 class TestJsonRoundTrip:
     def test_circle_roundtrip(self, tmp_path, circle1024_es):
+        es = circle1024_es
         path = tmp_path / "es.json"
-        save_eigensystem(circle1024_es, path)
-        loaded = load_eigensystem(path, circle1024_es.model)
-        assert np.array_equal(loaded.eigenvalues, circle1024_es.eigenvalues)
-        assert np.array_equal(loaded.eigenfunctions, circle1024_es.eigenfunctions)
-        assert loaded.labels == circle1024_es.labels
+        save_eigensystem(es, path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        assert np.array_equal(doc["eigenvalues"], es.eigenvalues)
+        assert np.array_equal(doc["eigenfunctions"], es.eigenfunctions.ravel(order="C"))
+        assert doc["labels"] == [list(lab) for lab in es.labels]
 
-    def test_mesh_cache_roundtrip(self, tmp_path, icosphere3, icosphere3_es):
+    def test_mesh_export_is_orthonormal(self, tmp_path, icosphere3, icosphere3_es):
         path = tmp_path / "mesh-es.json"
         save_eigensystem(icosphere3_es, path)
-        loaded = load_eigensystem(path, icosphere3)
-        assert check_orthonormality(loaded) < 1e-8
-
-    def test_model_mismatch_rejected(self, tmp_path, circle1024_es):
-        path = tmp_path / "es.json"
-        save_eigensystem(circle1024_es, path)
-        with pytest.raises(ValueError):
-            load_eigensystem(path, build_circle(64))
+        with open(path) as fh:
+            doc = json.load(fh)
+        u = np.reshape(doc["eigenfunctions"], (icosphere3.n_nodes, -1))
+        gram = u.T @ (u * icosphere3.weights[:, None])
+        assert np.abs(gram - np.eye(len(doc["eigenvalues"]))).max() < 1e-8
 
     def test_failed_save_keeps_the_earlier_file(self, tmp_path, circle1024_es,
                                                 monkeypatch):
@@ -191,6 +190,7 @@ class TestJsonRoundTrip:
         with pytest.raises(OSError, match="disk full"):
             save_eigensystem(circle1024_es, path)
         assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["es.json"]
 
 
 # -- mesh eigensolve against a dense oracle ---------------------------------
