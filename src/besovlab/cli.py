@@ -129,9 +129,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
             if not admissible(v):
                 raise ConfigError(f"parameter grid {key!r} holds {v}; "
                                   f"values must be {rule}")
-    for key in ("k", "jmax", "trials"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} is {cfg[key]}; it must be at least 1")
+    for key, least in (("k", 1), ("jmax", 1), ("trials", 1), ("seed", 0)):
+        if cfg[key] < least:
+            raise ConfigError(f"{key} is {cfg[key]}; it must be at least {least}")
+    if cfg["band"] is not None and not 0 < cfg["band"] < float("inf"):
+        raise ConfigError(f"band is {cfg['band']}; it must be positive and finite")
     if cfg["manifold"] == "mesh":
         if not cfg["mesh"]:
             raise ConfigError("mesh manifold needs --mesh <path>")
@@ -145,16 +147,17 @@ def build_model_and_eigsys(cfg: dict, need_levels: bool = True):
     need = 4.0 ** cfg["jmax"]
     if kind == "circle":
         model = build_circle(cfg["nodes"])
-        band = cfg["band"] or float(model.n_nodes // 2 - 1) ** 2
+        default_band = float(model.n_nodes // 2 - 1) ** 2
     elif kind == "torus2":
         model = build_torus2(cfg["nodes"])
-        band = cfg["band"] or float(cfg["nodes"] // 2 - 1) ** 2
+        default_band = float(cfg["nodes"] // 2 - 1) ** 2
     elif kind == "sphere2":
         model = build_sphere2(cfg["nodes"])
-        band = cfg["band"] or float(cfg["nodes"] * (cfg["nodes"] + 1))
+        default_band = float(cfg["nodes"] * (cfg["nodes"] + 1))
     else:
         model = load_mesh(cfg["mesh"])
-        band = cfg["band"] or need
+        default_band = need
+    band = default_band if cfg["band"] is None else cfg["band"]
     if need_levels and band < need:
         raise ConfigError(f"band {band} cannot reach jmax={cfg['jmax']} (needs {need})")
     eigsys = build_eigensystem(model, band)

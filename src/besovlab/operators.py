@@ -86,9 +86,10 @@ def kernel_alpha_norms(K: KernelMatrix, alpha: float):
     a = np.abs(K.matrix)
     if np.isinf(alpha):
         return float(a.max(axis=1).max()), float(a.max(axis=0).max())
+    a **= alpha
     w = K.model.weights
-    row = (a ** alpha @ w) ** (1.0 / alpha)
-    col = (w @ a ** alpha) ** (1.0 / alpha)
+    row = (a @ w) ** (1.0 / alpha)
+    col = (w @ a) ** (1.0 / alpha)
     return float(row.max()), float(col.max())
 
 
@@ -162,7 +163,8 @@ def operator_norm_estimate(eigsys: EigenSystem, G, t: float, p: float, q: float,
         norm = lp_norm(model, f, p)
         if norm == 0.0:
             continue
-        out = apply_filter(eigsys, G, t, GridFunction(model, raw / norm))
+        c = project(eigsys, GridFunction(model, raw / norm)).coefficients
+        out = synthesize(eigsys, CoefVector(c * g))
         best = max(best, lp_norm(model, out, q))
     return best
 

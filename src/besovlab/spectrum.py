@@ -301,13 +301,25 @@ def apply_power(eigsys: EigenSystem, c: CoefVector, s: float) -> CoefVector:
     return CoefVector(coefs * factors)
 
 
+# values of the eigenfunction array per encoded block: a block's Python floats
+# and its text stay a few hundred kB, well below the array itself
+_SAVE_BLOCK_VALUES = 8192
+
+
 def save_eigensystem(eigsys: EigenSystem, path) -> None:
     """Export as JSON (eigenvalues + row-major eigenfunctions + descriptor).
 
-    The document is streamed into ``<path>.tmp`` and renamed over ``path``,
+    The eigenfunction array is encoded in blocks of ``_SAVE_BLOCK_VALUES``
+    values, each by ``json.dumps``: that takes the C encoder, where
+    ``json.dump`` streams through the pure-Python one at a generator step per
+    float, and the whole array never becomes one Python list. The text is
+    that of ``json.dump`` of the whole document, since both encoders write
+    floats with ``float.__repr__`` and use the same separators.
+
+    The document is written into ``<path>.tmp`` and renamed over ``path``,
     so a failed write leaves an earlier file intact and no temp file.
     """
-    doc = {
+    head = {
         "format": "besovlab-eigensystem",
         "model": {
             "kind": eigsys.model.kind,
@@ -319,13 +331,19 @@ def save_eigensystem(eigsys: EigenSystem, path) -> None:
         },
         "band_limit": eigsys.band_limit,
         "eigenvalues": eigsys.eigenvalues.tolist(),
-        "eigenfunctions": eigsys.eigenfunctions.ravel(order="C").tolist(),
-        "labels": [list(lab) for lab in eigsys.labels],
     }
+    values = eigsys.eigenfunctions.ravel(order="C")
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(doc, fh)
+            fh.write(json.dumps(head)[:-1] + ', "eigenfunctions": [')
+            for i in range(0, len(values), _SAVE_BLOCK_VALUES):
+                if i:
+                    fh.write(", ")
+                block = values[i:i + _SAVE_BLOCK_VALUES].tolist()
+                fh.write(json.dumps(block)[1:-1])
+            labels = [list(lab) for lab in eigsys.labels]
+            fh.write('], "labels": ' + json.dumps(labels) + "}")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

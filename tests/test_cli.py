@@ -91,6 +91,20 @@ class TestConfig:
         assert "it must be at least 1" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["spectrum", "--nodes", "128", "--band", "0"], "band is 0.0"),
+        (["spectrum", "--nodes", "128", "--band", "-5"], "band is -5.0"),
+        (["spectrum", "--nodes", "128", "--band", "nan"], "band is nan"),
+        (["spectrum", "--nodes", "128", "--band", "inf"], "band is inf"),
+        (["young", "--nodes", "64", "--seed", "-1"], "seed is -1")])
+    def test_out_of_range_band_or_seed_is_config_error(self, tmp_path, capsys,
+                                                       args, message):
+        # caught before any output, not by the first experiment to use them
+        out = tmp_path / "o"
+        assert run_cli(args + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
 
 class TestAtomicWrite:
     def test_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):

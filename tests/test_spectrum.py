@@ -176,21 +176,83 @@ class TestJsonRoundTrip:
         gram = u.T @ (u * icosphere3.weights[:, None])
         assert np.abs(gram - np.eye(len(doc["eigenvalues"]))).max() < 1e-8
 
+    @pytest.mark.parametrize("name", ["circle1024_es", "torus16_es", "sphere16_es",
+                                      "icosphere3_es", "one_pair_es"])
+    def test_export_is_the_one_shot_dump(self, tmp_path, request, name):
+        # circle1024: several blocks; icosphere3: a ragged last block
+        es = request.getfixturevalue(name)
+        path = tmp_path / "es.json"
+        save_eigensystem(es, path)
+        assert mismatch(path.read_text(), json.dumps(reference_document(es))) is None
+
+    @pytest.mark.parametrize("block", [1, 64, 100, 448])
+    def test_export_at_block_boundaries(self, tmp_path, monkeypatch, block):
+        # 64 x 7 = 448 values: one-value blocks, whole blocks, a ragged
+        # last block, and the whole array as one block
+        es = build_eigensystem(build_circle(64), 10.0)
+        monkeypatch.setattr(spectrum, "_SAVE_BLOCK_VALUES", block)
+        path = tmp_path / "es.json"
+        save_eigensystem(es, path)
+        assert mismatch(path.read_text(), json.dumps(reference_document(es))) is None
+
     def test_failed_save_keeps_the_earlier_file(self, tmp_path, circle1024_es,
                                                 monkeypatch):
         path = tmp_path / "es.json"
         save_eigensystem(circle1024_es, path)
         before = path.read_bytes()
+        dumps, encoded = json.dumps, []
 
-        def broken(doc, fh):
-            fh.write('{"format": "besovlab-eigen')
-            raise OSError("disk full")
+        def broken(obj):
+            # the header, then the first block of values, then the disk fills
+            if len(encoded) == 2:
+                raise OSError("disk full")
+            encoded.append(obj)
+            return dumps(obj)
 
-        monkeypatch.setattr(json, "dump", broken)
+        monkeypatch.setattr(json, "dumps", broken)
         with pytest.raises(OSError, match="disk full"):
             save_eigensystem(circle1024_es, path)
+        assert len(encoded[1]) == spectrum._SAVE_BLOCK_VALUES
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["es.json"]
+
+
+@pytest.fixture(scope="module")
+def torus16_es(torus16):
+    return build_eigensystem(torus16, 18.0)
+
+
+@pytest.fixture(scope="module")
+def one_pair_es():
+    return build_eigensystem(build_circle(8), 0.5)
+
+
+def mismatch(text, expected):
+    """None if the texts agree, else the first differing offset with context.
+
+    pytest's own diff of two megabyte-long lines takes minutes.
+    """
+    if text == expected:
+        return None
+    i = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b),
+             min(len(text), len(expected)))
+    return i, text[max(i - 40, 0):i + 40], expected[max(i - 40, 0):i + 40]
+
+
+def reference_document(es):
+    """The export format as one JSON document."""
+    model = es.model
+    return {
+        "format": "besovlab-eigensystem",
+        "model": {"kind": model.kind, "dim": model.dim, "n_nodes": model.n_nodes,
+                  "total_measure": model.total_measure,
+                  "params": {k: v for k, v in model.params.items()
+                             if isinstance(v, (int, float, str))}},
+        "band_limit": es.band_limit,
+        "eigenvalues": es.eigenvalues.tolist(),
+        "eigenfunctions": es.eigenfunctions.ravel(order="C").tolist(),
+        "labels": [list(lab) for lab in es.labels],
+    }
 
 
 # -- mesh eigensolve against a dense oracle ---------------------------------
