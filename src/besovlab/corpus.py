@@ -24,6 +24,9 @@ class CorpusEntry:
     known_coefficients: object = None  # callable (eigsys) -> ndarray, or None
     expected_rate: float | None = None
     params: dict = field(default_factory=dict)
+    # highest circle frequency the builder samples: a circle resolves it
+    # with more than twice as many nodes
+    frequency: int | None = None
 
     def build(self, model: ManifoldModel, eigsys: EigenSystem | None = None) -> GridFunction:
         return self.builder(model, eigsys)
@@ -64,7 +67,7 @@ def lacunary(alpha: float, M: int) -> CorpusEntry:
 
     return CorpusEntry(id=f"lacunary-a{alpha:g}-M{M}", builder=build,
                        known_coefficients=coefs, expected_rate=alpha,
-                       params={"alpha": alpha, "M": M})
+                       params={"alpha": alpha, "M": M}, frequency=2 ** M)
 
 
 def lacunary_l2_error(alpha: float, M: int, omega: float) -> float:

@@ -2,11 +2,15 @@
 
 Analytic bases are used on the circle, torus and sphere. Triangle meshes get
 the generalized eigenproblem S u = lam M u of the cotangent stiffness S and
-the lumped mass M, solved by shift-invert Lanczos (ARPACK) for the eigenpairs
-under the band limit only; when the band needs more than a sixth of them, a
-dense solve of the whole spectrum is cheaper and runs instead. Columns are
-always sorted by ascending eigenvalue, so the span of the first k columns is
-the bandlimited space at cutoff eigenvalues[k-1].
+the lumped mass M, solved in its symmetric form A y = lam y with
+A = M^-1/2 S M^-1/2 and u = M^-1/2 y. The eigenvalues under the band limit
+are counted first, by the inertia of an LDL^T factorization of A minus the
+band (Sylvester's law); shift-invert Lanczos (ARPACK) then asks for one pair
+more than that count, doubling until the last pair returned lies above the
+band. When the band needs more than a sixth of all pairs, a dense solve of
+the whole spectrum is cheaper and runs instead. Columns are always sorted by
+ascending eigenvalue, so the span of the first k columns is the bandlimited
+space at cutoff eigenvalues[k-1].
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackError, eigsh
+from scipy.sparse.linalg import ArpackError, eigsh, splu
 from scipy.special import gammaln, lpmv
 
 from .manifold import GridFunction, ManifoldModel
@@ -188,8 +192,10 @@ def _sphere_basis(model, band_limit):
 
 
 # Shift-invert Lanczos costs about n*k^2 for k eigenpairs, the dense solve
-# about n^3 whatever k. With BLAS at 1 thread they cross near k = n/6 on
-# icosphere(4) and near k = n/4 on icosphere(3); above n/6 the dense solve runs.
+# about n^3 whatever k. On the symmetric form, with BLAS at 1 thread, the
+# sparse solve takes 0.83 of the dense time at k = n/6 and 1.33 at n/5 on
+# icosphere(4), 0.72 at n/4 and 1.48 at n/3 on icosphere(3); above n/6 the
+# dense solve runs.
 _SPARSE_MAX_K_FRACTION = 1.0 / 6.0
 
 
@@ -202,18 +208,25 @@ def _mesh_basis(model, band_limit):
         raise ValueError(
             f"band_limit {band_limit} exceeds {top:.3g}, a bound on the largest "
             "discrete eigenvalue; the mesh cannot certify the span")
-    # grow k until the band's last cluster is whole
+    # A = M^-1/2 S M^-1/2 has the pencil's eigenvalues, with u = M^-1/2 y
+    d = 1.0 / np.sqrt(w)
+    scale = sparse.diags(d)
+    sym = scale @ stiff @ scale
+    sym = (0.5 * (sym + sym.T)).tocsc()
+    tol = 1e-9 * max(1.0, top)
+    # one pair more than lie under the band, so the last one returned is
+    # above it; the growth loop below still checks that, whatever the count
+    count = _count_below(sym, band_limit + tol)
+    k = 1 if count is None else count + 1
     area = model.total_measure
-    k = _weyl_k(area, band_limit)
     while k <= _SPARSE_MAX_K_FRACTION * len(w):
         # shift one Weyl spacing below 0: S is singular (constants)
-        lam, funcs = _sparse_pencil(stiff, w, k, -4 * np.pi / area)
+        lam, vecs = _sparse_eigenpairs(sym, k, -4 * np.pi / area)
         if lam[-1] > band_limit:
             break
         k *= 2
     else:
-        lam, funcs = _dense_pencil(stiff, w)
-    tol = 1e-9 * max(1.0, top)
+        lam, vecs = _dense_eigenpairs(sym)
     if lam[0] < -tol:
         raise RuntimeError(f"mesh operator produced negative eigenvalue {lam[0]:.3e}")
     lam = np.where(np.abs(lam) <= tol, 0.0, lam)
@@ -224,7 +237,7 @@ def _mesh_basis(model, band_limit):
             f"band_limit {band_limit} exceeds the largest discrete eigenvalue "
             f"{lam[-1]:.3g}; the mesh cannot certify the span")
     keep = lam <= band_limit
-    funcs = funcs[:, keep]
+    funcs = d[:, None] * vecs[:, keep]
     # deterministic sign: largest-magnitude entry positive
     for col in range(funcs.shape[1]):
         i = np.argmax(np.abs(funcs[:, col]))
@@ -236,36 +249,42 @@ def _mesh_basis(model, band_limit):
     return lams, labels, cols
 
 
-def _weyl_k(area, band_limit):
-    """Eigenpairs to ask for first: Weyl's law N(lam) ~ area*lam/(4 pi), plus
-    room for the cluster the estimate cuts (on the sphere it runs (l+1) short)."""
-    weyl = area * band_limit / (4 * np.pi)
-    return int(weyl + 2 * np.sqrt(weyl)) + 8
+def _count_below(sym, shift):
+    """Number of eigenvalues of the symmetric ``sym`` below ``shift``, or None.
 
-
-def _sparse_pencil(stiff, w, k, sigma):
-    """The k smallest eigenpairs of S u = lam M u, M = diag(w), ascending."""
-    # a fixed start vector: ARPACK's own random one changes from call to call
-    v0 = np.random.default_rng(0).standard_normal(len(w))
+    By Sylvester's law of inertia it is the number of negative pivots of an
+    LDL^T factorization of sym - shift*I. SuperLU gives one when it keeps
+    every pivot on the diagonal, i.e. when its row and column orders agree;
+    otherwise, or when the factor is singular, there is no count.
+    """
+    shifted = (sym - shift * sparse.identity(sym.shape[0], format="csc")).tocsc()
     try:
-        lam, vec = eigsh(stiff, k, M=sparse.diags(w, format="csc"),
-                         sigma=sigma, v0=v0)
+        lu = splu(shifted, diag_pivot_thresh=0.0)
+    except RuntimeError:  # exactly singular
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
+def _sparse_eigenpairs(sym, k, sigma):
+    """The k smallest eigenpairs of the symmetric ``sym``, ascending."""
+    # a fixed start vector: ARPACK's own random one changes from call to call
+    v0 = np.random.default_rng(0).standard_normal(sym.shape[0])
+    try:
+        lam, vec = eigsh(sym, k, sigma=sigma, v0=v0)
     except ArpackError as exc:  # ArpackNoConvergence included
         raise RuntimeError(f"mesh eigensolver failed to converge: {exc}") from exc
     order = np.argsort(lam, kind="stable")
     return lam[order], vec[:, order]
 
 
-def _dense_pencil(stiff, w):
-    """All eigenpairs of S u = lam M u, M = diag(w), ascending."""
-    d = 1.0 / np.sqrt(w)
-    sym = d[:, None] * stiff.toarray() * d[None, :]
-    sym = 0.5 * (sym + sym.T)
+def _dense_eigenpairs(sym):
+    """All eigenpairs of the symmetric ``sym``, ascending."""
     try:
-        lam, vec = eigh(sym)
+        return eigh(sym.toarray())
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"mesh eigensolver failed to converge: {exc}") from exc
-    return lam, d[:, None] * vec
 
 
 def check_orthonormality(eigsys: EigenSystem) -> float:

@@ -105,6 +105,26 @@ class TestConfig:
         assert message in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("args, frequency", [
+        (["approx", "--nodes", "64"], 32),
+        (["besov", "--nodes", "64", "--jmax", "2"], 32),
+        (["jackson", "--nodes", "128", "--jmax", "4"], 64),
+        (["all", "--nodes", "64", "--jmax", "2"], 32)])
+    def test_circle_too_coarse_for_the_corpus_is_config_error(
+            self, tmp_path, capsys, args, frequency):
+        out = tmp_path / "o"
+        assert run_cli(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{args[2]} circle nodes cannot resolve frequency {frequency}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["approx", "--nodes", "66", "--jmax", "2", "--p", "2"],
+        ["jackson", "--nodes", "130", "--jmax", "4", "--p", "2"]])
+    def test_least_resolving_circle_runs(self, tmp_path, args):
+        # circles have an even node count: 66 = 2 * 32 + 2
+        assert run_cli(args + ["--out", str(tmp_path / "o")]) == 0
+
 
 class TestAtomicWrite:
     def test_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):
@@ -145,7 +165,7 @@ class TestAbort:
 
         monkeypatch.setitem(cli.EXPERIMENTS, "kernel-decay", broken)
         out = tmp_path / "o"
-        assert run_cli(["all", "--nodes", "64", "--jmax", "2",
+        assert run_cli(["all", "--nodes", "128", "--jmax", "2",
                         "--out", str(out)]) == code
         report = json.loads((out / "report.json").read_text())
         assert report["passed"] is False

@@ -62,7 +62,7 @@ class TestOrthonormality:
         assert w @ (u5 * u5) == pytest.approx(1.0, abs=1e-12)
 
     def test_mesh_within_tolerance(self, icosphere3_es):
-        assert check_orthonormality(icosphere3_es) < 1e-8
+        assert check_orthonormality(icosphere3_es) < 1e-10
 
     def test_sphere_within_tolerance(self, sphere16_es):
         assert check_orthonormality(sphere16_es) < 1e-8
@@ -272,7 +272,7 @@ def assert_matches_oracle(es, oracle):
     # the two bases span the same space: the cross-Gram matrix is orthogonal
     cross = es.eigenfunctions.T @ (es.model.weights[:, None] * vec[:, :k])
     assert np.linalg.svd(cross, compute_uv=False).min() >= 1 - 1e-10
-    assert check_orthonormality(es) < 1e-8
+    assert check_orthonormality(es) < 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +288,28 @@ def icospheres(tmp_path_factory, icosphere3):
 @pytest.fixture(scope="module")
 def oracles(icospheres):
     return {level: dense_oracle(m) for level, m in icospheres.items()}
+
+
+def cluster_edges(lam):
+    """(band, eigenvalues under it) just outside the first nine l(l+1) clusters.
+
+    The cluster of degree l holds oracle eigenvalues l^2 .. (l+1)^2 - 1.
+    """
+    edges = []
+    for l in range(9):
+        lo, hi = lam[l * l], lam[(l + 1) ** 2 - 1]
+        edges.append((hi + 1e-6 * max(1.0, hi), (l + 1) ** 2))
+        if l > 0:
+            edges.append((lo * (1 - 1e-6), l * l))
+    return edges
+
+
+def symmetric_form(model):
+    """M^-1/2 S M^-1/2, exactly symmetric: the pencil's eigenvalues."""
+    stiff = cotangent_stiffness(model.nodes, model.faces)
+    scale = sparse.diags(1.0 / np.sqrt(model.weights))
+    sym = scale @ stiff @ scale
+    return 0.5 * (sym + sym.T)
 
 
 def forbid(name):
@@ -317,16 +339,9 @@ class TestMeshEigensolve:
 
     @pytest.mark.parametrize("level", [2, 3])
     def test_bands_at_cluster_edges(self, icospheres, oracles, level):
-        # the l(l+1) cluster holds oracle eigenvalues l^2 .. (l+1)^2 - 1
-        lam = oracles[level][0]
-        for l in range(9):
-            lo, hi = lam[l * l], lam[(l + 1) ** 2 - 1]
-            edges = [(hi + 1e-6 * max(1.0, hi), (l + 1) ** 2)]
-            if l > 0:
-                edges.append((lo * (1 - 1e-6), l * l))
-            for band, count in edges:
-                es = build_eigensystem(icospheres[level], band)
-                assert es.n_eigen == count, (l, band)
+        for band, count in cluster_edges(oracles[level][0]):
+            es = build_eigensystem(icospheres[level], band)
+            assert es.n_eigen == count, band
 
     def test_small_band_never_runs_the_dense_solve(self, icospheres, oracles,
                                                    monkeypatch):
@@ -342,10 +357,24 @@ class TestMeshEigensolve:
             asked.append(k)
             return eigsh(a, k, **kwargs)
 
-        monkeypatch.setattr(spectrum, "_weyl_k", lambda area, band: 1)
+        # no count: the loop starts at one pair
+        monkeypatch.setattr(spectrum, "_count_below", lambda sym, shift: None)
         monkeypatch.setattr(spectrum, "eigsh", counting)
         es = build_eigensystem(icospheres[3], 30.0)
         assert asked == [1, 2, 4, 8, 16, 32, 64]
+        assert_matches_oracle(es, oracles[3])
+
+    def test_counted_band_takes_one_solve(self, icospheres, oracles,
+                                          monkeypatch):
+        asked = []
+
+        def counting(a, k, **kwargs):
+            asked.append(k)
+            return eigsh(a, k, **kwargs)
+
+        monkeypatch.setattr(spectrum, "eigsh", counting)
+        es = build_eigensystem(icospheres[3], 64.0)
+        assert asked == [65]
         assert_matches_oracle(es, oracles[3])
 
     def test_bit_identical_across_builds(self, icospheres):
@@ -396,3 +425,27 @@ class TestMeshEigensolve:
         monkeypatch.setattr(spectrum, "eigsh", failing)
         with pytest.raises(RuntimeError, match="failed to converge"):
             build_eigensystem(icospheres[3], 30.0)
+
+
+class TestInertiaCount:
+    @settings(max_examples=40, deadline=None)
+    @given(frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_counts_the_eigenvalues_under_a_shift(self, icospheres, oracles,
+                                                  frac):
+        lam = oracles[2][0]
+        shift = frac * lam[-1]
+        assume(np.abs(lam - shift).min() > 1e-6 * shift)
+        # a count at all means SuperLU kept its pivots on the diagonal
+        count = spectrum._count_below(symmetric_form(icospheres[2]), shift)
+        assert count == np.count_nonzero(lam < shift)
+
+    def test_counts_at_cluster_edges(self, icospheres, oracles):
+        sym = symmetric_form(icospheres[3])
+        for shift, count in cluster_edges(oracles[3][0]):
+            assert spectrum._count_below(sym, shift) == count, shift
+
+    @pytest.mark.parametrize("sym", [
+        np.diag([0.0, 1.0, 2.0]),                           # singular factor
+        np.array([[1.0, 1, 0], [1, 1, 1], [0, 1, 4]])])     # off-diagonal pivot
+    def test_no_count_without_an_ldlt_factor(self, sym):
+        assert spectrum._count_below(sparse.csc_matrix(sym), 1.0) is None
