@@ -21,9 +21,10 @@ import numpy as np
 from .approx import ApproxResult, best_approx
 from .filters import FilterFamily
 from .manifold import GridFunction, lp_norm
-from .spectrum import EigenSystem, apply_power, project, synthesize
+from .spectrum import CoefVector, EigenSystem, apply_power, project, synthesize
 
 BAND_TOL = 1e-8  # relative tolerance of every bandlimited test
+BAND_CHECK = "band-check"  # ``at`` of the per-function band-check entries
 
 
 @dataclass
@@ -74,14 +75,26 @@ def a_norm(eigsys: EigenSystem, f: GridFunction, params: BesovParams,
 
 
 class ErrorCache:
-    """Memo for the (f, p) sequences behind the Besov-type norms.
+    """Memo for the per-function quantities behind the Besov-type norms.
 
     Keys on a function's model object (models compare by identity), a
-    digest of its sample values, p and ``at``: a cutoff omega for a
-    best-approximation result, or a ``FilterFamily`` for the tuple of
-    Littlewood-Paley block norms (a family never equals a number). A function
-    rebuilt with the same samples hits the entries of the first copy, and no
-    function is referenced; the models of the stored entries are.
+    digest of its sample values, p and ``at``. There are three kinds of
+    entry:
+
+    - a cutoff entry, ``at`` a cutoff omega: the best-approximation result
+      for E(f, omega, p);
+    - a filter-bank entry, ``at`` a ``FilterFamily``: the tuple of
+      Littlewood-Paley block norms ||F_j(L)f||_p;
+    - a per-function entry, p = ``None``: under ``BAND_CHECK`` the band check
+      of f (its eigencoefficients and whether they reproduce f), under a
+      ``FilterFamily`` the tuple of block functions F_j(L)f that every p
+      reads.
+
+    A family never equals a number or ``BAND_CHECK``, and p = ``None`` never
+    equals a float p, so the kinds cannot answer for one another. A
+    function rebuilt with the same samples hits the entries of the first
+    copy, and no function is referenced; the models of the stored entries
+    are.
     """
 
     def __init__(self):
@@ -91,7 +104,7 @@ class ErrorCache:
     def _key(f, p, at):
         vals = f.values
         digest = hashlib.sha256(vals.dtype.str.encode() + vals.tobytes()).digest()
-        return f.model, digest, float(p), at
+        return f.model, digest, None if p is None else float(p), at
 
     def lookup(self, f, p, at):
         return self._vals.get(self._key(f, p, at))
@@ -159,22 +172,38 @@ def a_norm_continuous(eigsys: EigenSystem, f: GridFunction, alpha: float,
     return lp_norm(model, f, p) + total ** (1.0 / q)
 
 
-def _bandlimited_coefficients(eigsys, f):
-    """f's eigencoefficients, or None if they miss f by more than relative BAND_TOL."""
-    c = project(eigsys, f)
-    resid = f.values - synthesize(eigsys, c).values
-    scale = max(float(np.abs(f.values).max()), 1e-300)
-    return c if float(np.abs(resid).max()) <= BAND_TOL * scale else None
+def _band_check(eigsys, f, cache):
+    """(c, ok): f's eigencoefficients, and whether they reproduce f to
+    relative ``BAND_TOL`` (max-norm residual against max |f|); computed once
+    per ``cache``."""
+    cache = ErrorCache() if cache is None else cache
+    check = cache.lookup(f, None, BAND_CHECK)
+    if check is None:
+        c = project(eigsys, f)
+        resid = f.values - synthesize(eigsys, c).values
+        scale = max(float(np.abs(f.values).max()), 1e-300)
+        check = c, float(np.abs(resid).max()) <= BAND_TOL * scale
+        cache.store(f, None, BAND_CHECK, check)
+    return check
 
 
-def is_bandlimited(eigsys: EigenSystem, f: GridFunction) -> bool:
+def bandlimited_coefficients(eigsys: EigenSystem, f: GridFunction,
+                             cache: ErrorCache | None = None) -> CoefVector | None:
+    """f's eigencoefficients, or None if they miss f by more than relative
+    ``BAND_TOL``. The check runs once per function per ``cache``."""
+    c, ok = _band_check(eigsys, f, cache)
+    return c if ok else None
+
+
+def is_bandlimited(eigsys: EigenSystem, f: GridFunction,
+                   cache: ErrorCache | None = None) -> bool:
     """Whether f is reproduced by its eigenexpansion to relative ``BAND_TOL``
-    (max-norm residual against max |f|)."""
-    return _bandlimited_coefficients(eigsys, f) is not None
+    (max-norm residual against max |f|), checked once per ``cache``."""
+    return bandlimited_coefficients(eigsys, f, cache) is not None
 
 
-def _require_bandlimited(eigsys, f):
-    c = _bandlimited_coefficients(eigsys, f)
+def _require_bandlimited(eigsys, f, cache=None):
+    c = bandlimited_coefficients(eigsys, f, cache)
     if c is None:
         raise ValueError("function is not bandlimited in this eigensystem")
     return c
@@ -188,23 +217,29 @@ def lp_comparator_norm(eigsys: EigenSystem, f: GridFunction,
     The filter bank is ``FilterFamily()`` applied at unit scale, so
     block j covers eigenvalues in [4^(j-1), 16*4^(j-1)]; blocks beyond the
     band limit vanish identically and the sum is finite without truncation
-    error. The block norms depend only on (f, p): each is computed once per
-    ``cache``, and (alpha, q) only re-weight them.
+    error. Per ``cache``, the block functions F_j(L)f are synthesized once
+    per function from the band check's coefficients, their norms are taken
+    once per (f, p), and (alpha, q) only re-weight them.
     """
     family = FilterFamily()
     cache = ErrorCache() if cache is None else cache
-    blocks = cache.lookup(f, params.p, family)
-    if blocks is None:
-        model, lam, u = eigsys.model, eigsys.eigenvalues, eigsys.eigenfunctions
-        c = project(eigsys, f).coefficients
-        j_max = 1
-        while 4.0 ** (j_max - 1) <= eigsys.band_limit:
-            j_max += 1
-        blocks = tuple(lp_norm(model, GridFunction(model, u @ (c * family.f_j(j, lam))),
-                               params.p) for j in range(j_max))
-        cache.store(f, params.p, family, blocks)
-    terms = [2.0 ** (params.alpha * j) * blocks[j] for j in range(1, len(blocks))]
-    return blocks[0] + _q_sum(np.array(terms), params.q)
+    model = eigsys.model
+    norms = cache.lookup(f, params.p, family)
+    if norms is None:
+        blocks = cache.lookup(f, None, family)
+        if blocks is None:
+            lam, u = eigsys.eigenvalues, eigsys.eigenfunctions
+            c = _band_check(eigsys, f, cache)[0].coefficients
+            j_max = 1
+            while 4.0 ** (j_max - 1) <= eigsys.band_limit:
+                j_max += 1
+            blocks = tuple(GridFunction(model, u @ (c * family.f_j(j, lam)))
+                           for j in range(j_max))
+            cache.store(f, None, family, blocks)
+        norms = tuple(lp_norm(model, g, params.p) for g in blocks)
+        cache.store(f, params.p, family, norms)
+    terms = [2.0 ** (params.alpha * j) * norms[j] for j in range(1, len(norms))]
+    return norms[0] + _q_sum(np.array(terms), params.q)
 
 
 def jackson_ratios(eigsys: EigenSystem, f: GridFunction, k: int, p: float,
@@ -213,9 +248,10 @@ def jackson_ratios(eigsys: EigenSystem, f: GridFunction, k: int, p: float,
 
     Uses the cutoff-exponent normalization omega^(k/2) with omega = 2^(2j);
     for smooth f the sequence should stay bounded with no growth trend.
+    ``cache`` holds the band check of f and the solves, as for the norms.
     """
     model = eigsys.model
-    c = _require_bandlimited(eigsys, f)
+    c = _require_bandlimited(eigsys, f, cache)
     rough = synthesize(eigsys, apply_power(eigsys, c, k / 2.0))
     denom = lp_norm(model, rough, p)
     errors = [r.error for r in errors_at_cutoffs(
@@ -230,14 +266,15 @@ def jackson_ratios(eigsys: EigenSystem, f: GridFunction, k: int, p: float,
 
 
 def bernstein_ratio(eigsys: EigenSystem, f_band: GridFunction, k: int,
-                    p: float, omega: float) -> float:
+                    p: float, omega: float,
+                    cache: ErrorCache | None = None) -> float:
     """||L^k f||_p / (omega^k ||f||_p) for f in the span {lambda <= omega}.
 
     At p = 2 the ratio is exactly bounded by 1. Rejects f unless it is
     bandlimited and its coefficients above the cutoff are within relative
-    ``BAND_TOL`` of 0.
+    ``BAND_TOL`` of 0. The band check of f is read through ``cache``.
     """
-    c = _require_bandlimited(eigsys, f_band)
+    c = _require_bandlimited(eigsys, f_band, cache)
     idx = eigsys.cutoff_index(omega)
     high = c.coefficients[idx:]
     scale = max(float(np.abs(c.coefficients).max()), 1e-300)
@@ -263,24 +300,30 @@ def k_functional_quadratic(eigsys: EigenSystem, f: GridFunction, t: float,
 
     equivalent to the usual K-functional within absolute constants.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
     c = _require_bandlimited(eigsys, f).coefficients
-    return _k_quadratic(c, eigsys.eigenvalues, t, k)
+    return float(_k_quadratic(c, eigsys.eigenvalues, np.array([t], dtype=float), k)[0])
 
 
-def _k_quadratic(c: np.ndarray, lam: np.ndarray, t: float, k: int) -> float:
+def _k_quadratic(c: np.ndarray, lam: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
+    """K_2(f, t) at every t of the grid: one (len(t), len(c)) array, each row
+    summed along its contiguous axis as the one-t sum is."""
+    if not k >= 0:
+        raise ValueError("Sobolev order k must be nonnegative")
     mu = (1.0 + lam ** (k / 2.0)) ** 2
-    t2mu = t * t * mu
-    return float(np.sqrt(np.sum(c * c * t2mu / (1.0 + t2mu))))
+    t2mu = (t * t)[:, None] * mu
+    return np.sqrt(np.sum(c * c * t2mu / (1.0 + t2mu), axis=1))
 
 
 def interpolation_norm(eigsys: EigenSystem, f: GridFunction, theta: float,
-                       q: float, k: int, t_grid) -> float:
+                       q: float, k: int, t_grid,
+                       cache: ErrorCache | None = None) -> float:
     """||f||_2 plus the truncated interpolation quasi-norm from K_2.
 
     Log-grid quadrature of (t^-theta K_2(f,t))^q dt/t over the given grid
-    (trapezoid in log t); sup over the grid for q = inf.
+    (trapezoid in log t); sup over the grid for q = inf. The band check of f
+    is read through ``cache``.
     """
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
@@ -290,8 +333,8 @@ def interpolation_norm(eigsys: EigenSystem, f: GridFunction, theta: float,
     if not np.all(np.isfinite(t_grid) & (t_grid > 0)):
         raise ValueError("t_grid must be positive and finite")
     t_grid = np.sort(t_grid)
-    c = _require_bandlimited(eigsys, f).coefficients
-    kvals = np.array([_k_quadratic(c, eigsys.eigenvalues, t, k) for t in t_grid])
+    c = _require_bandlimited(eigsys, f, cache).coefficients
+    kvals = _k_quadratic(c, eigsys.eigenvalues, t_grid, k)
     weighted = t_grid ** (-theta) * kvals
     base = lp_norm(eigsys.model, f, 2)
     if np.isinf(q):

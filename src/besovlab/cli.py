@@ -32,8 +32,9 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from .analysis import (BesovParams, ErrorCache, a_norm, a_norm_continuous,
-                       bernstein_ratio, errors_at_cutoffs, interpolation_norm,
-                       is_bandlimited, jackson_ratios, lp_comparator_norm)
+                       bandlimited_coefficients, bernstein_ratio,
+                       errors_at_cutoffs, interpolation_norm, is_bandlimited,
+                       jackson_ratios, lp_comparator_norm)
 from .filters import FilterFamily, check_partition
 from .manifold import (GridFunction, build_circle, build_sphere2, build_torus2,
                        lp_norm)
@@ -42,7 +43,7 @@ from .operators import (KernelMatrix, build_kernel, fit_decay_constant,
                         operator_norm_estimate, weighted_decay_integral,
                         young_apply_check)
 from .spectrum import (CoefVector, build_eigensystem, check_orthonormality,
-                       project, save_eigensystem, synthesize)
+                       save_eigensystem, synthesize)
 
 
 class ConfigError(Exception):
@@ -429,18 +430,18 @@ def run_besov(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
     funcs = []
     for entry in corpus_mod.default_corpus(model.kind):
         f = entry.build(model, eigsys)
-        funcs.append((entry, f, is_bandlimited(eigsys, f)))
+        funcs.append((entry, f, is_bandlimited(eigsys, f, cache)))
     for entry, f, bandlimited in funcs:
         jackson_max = bernstein_max = None
         if bandlimited:
             jr = jackson_ratios(eigsys, f, k, 2.0, J, cache)
             jackson_max = max(jr)
             # the function's own cutoff: largest eigenvalue carrying content
-            coefs = np.abs(project(eigsys, f).coefficients)
+            coefs = np.abs(bandlimited_coefficients(eigsys, f, cache).coefficients)
             alive = np.nonzero(coefs > 1e-10 * max(coefs.max(), 1e-300))[0]
             if len(alive) and eigsys.eigenvalues[alive[-1]] > 0:
                 own_band = float(eigsys.eigenvalues[alive[-1]])
-                bernstein_max = bernstein_ratio(eigsys, f, k, 2.0, own_band)
+                bernstein_max = bernstein_ratio(eigsys, f, k, 2.0, own_band, cache)
         for alpha in cfg["alpha"]:
             for p in cfg["p"]:
                 for q in cfg["q"]:
@@ -475,7 +476,8 @@ def run_besov(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
             report.check(f"besov.continuous[{entry.id},alpha={alpha:g}]",
                          ok, ratio, 8.0)
             if 0 < alpha / k < 1 and bandlimited:
-                inorm = interpolation_norm(eigsys, f, alpha / k, 2.0, k, kt_grid)
+                inorm = interpolation_norm(eigsys, f, alpha / k, 2.0, k, kt_grid,
+                                           cache)
                 iratio = a / inorm
                 report.check(f"besov.interpolation[{entry.id},alpha={alpha:g}]",
                              1.0 / 32.0 <= iratio <= 32.0, iratio, 32.0)

@@ -69,6 +69,12 @@ def torus16():
 
 
 @pytest.fixture(scope="session")
+def torus16_es(torus16):
+    # frequencies up to 7 per axis: the largest band 16 nodes resolve
+    return build_eigensystem(torus16, 49.0)
+
+
+@pytest.fixture(scope="session")
 def icosphere3_path(tmp_path_factory):
     verts, faces = icosphere(3)
     path = tmp_path_factory.mktemp("meshes") / "icosphere3.off"

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from besovlab.analysis import (BesovParams, ErrorCache, a_norm,
-                               a_norm_continuous, bernstein_ratio,
-                               errors_at_cutoffs, interpolation_norm,
-                               is_bandlimited, jackson_ratios,
-                               k_functional_quadratic, lp_comparator_norm)
+from besovlab.analysis import (BAND_CHECK, BesovParams, ErrorCache, a_norm,
+                               a_norm_continuous, bandlimited_coefficients,
+                               bernstein_ratio, errors_at_cutoffs,
+                               interpolation_norm, is_bandlimited,
+                               jackson_ratios, k_functional_quadratic,
+                               lp_comparator_norm)
 from besovlab.corpus import default_corpus, lacunary
 from besovlab.filters import FilterFamily
 from besovlab.manifold import GridFunction, build_circle, lp_norm
@@ -109,6 +110,67 @@ class TestSharedCache:
         for r in results[2.0]:
             assert r.solver == "projection" and r.converged
             assert abs(r.error - r.lower_bound) <= 1e-12 * lp_norm(model, f, 2.0)
+
+
+FIXTURES = ["circle512_es_1024", "torus16_es", "sphere16_es", "icosphere3_es"]
+
+
+class TestReadersThroughACache:
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_values_equal_the_cache_less_ones(self, request, fixture, rng):
+        es = request.getfixturevalue(fixture)
+        J = int(np.floor(np.log(es.band_limit) / np.log(4.0)))
+        omega = 4.0 ** J
+        f = random_band(es, rng, es.cutoff_index(omega))
+        rough = GridFunction(es.model, rng.standard_normal(es.model.n_nodes))
+        tg = np.geomspace(1e-4, 1.0, 60)
+        cache = ErrorCache()
+        assert is_bandlimited(es, f, cache) is is_bandlimited(es, f) is True
+        assert is_bandlimited(es, rough, cache) is is_bandlimited(es, rough) is False
+        assert jackson_ratios(es, f, 2, 2.0, J, cache) == jackson_ratios(es, f, 2, 2.0, J)
+        for p in (2.0, np.inf):
+            assert (bernstein_ratio(es, f, 2, p, omega, cache)
+                    == bernstein_ratio(es, f, 2, p, omega))
+        for k in (1, 2):
+            assert (interpolation_norm(es, f, 0.5, 2.0, k, tg, cache)
+                    == interpolation_norm(es, f, 0.5, 2.0, k, tg))
+        for g in (f, rough):
+            for p in (1.0, 2.0, 4.0, np.inf):
+                params = BesovParams(alpha=1.0, p=p, q=2.0, J=J)
+                assert (lp_comparator_norm(es, g, params, cache=cache)
+                        == lp_comparator_norm(es, g, params))
+        assert bandlimited_coefficients(es, rough, cache) is None
+        np.testing.assert_array_equal(
+            bandlimited_coefficients(es, f, cache).coefficients,
+            bandlimited_coefficients(es, f).coefficients)
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_per_function_entries_answer_only_their_own_lookups(
+            self, request, fixture, rng, monkeypatch):
+        import besovlab.analysis as analysis
+        es = request.getfixturevalue(fixture)
+        f = random_band(es, rng, es.cutoff_index(4.0))
+        family = FilterFamily()
+        cache = ErrorCache()
+        is_bandlimited(es, f, cache)
+        lp_comparator_norm(es, f, BesovParams(alpha=1.0, p=2.0, q=2.0, J=1),
+                           cache=cache)
+        check, blocks = cache.lookup(f, None, BAND_CHECK), cache.lookup(f, None, family)
+        assert check[1] is True and len(blocks) > 1
+        for p in (1.0, 2.0, 4.0, np.inf):
+            for omega in (1.0, 4.0, 16.0):
+                assert cache.lookup(f, p, omega) is None
+            if p != 2.0:
+                assert cache.lookup(f, p, family) is None
+        assert cache.lookup(f, None, 4.0) is None
+        # a rebuilt copy hits both entries and projects nothing
+        again = GridFunction(es.model, f.values.copy())
+        assert cache.lookup(again, None, BAND_CHECK) is check
+        assert cache.lookup(again, None, family) is blocks
+        monkeypatch.setattr(analysis, "project", None)
+        assert is_bandlimited(es, again, cache)
+        lp_comparator_norm(es, again, BesovParams(alpha=1.0, p=4.0, q=2.0, J=1),
+                           cache=cache)
 
 
 class TestANorm:
@@ -253,9 +315,10 @@ class TestComparatorNorm:
         assert worst < 50.0
 
     def test_block_norms_read_once_per_p(self, circle512_es_1024, monkeypatch):
-        # the blocks ||F_j(L)f||_p depend only on (f, p): a 3x3 (alpha, q)
-        # grid on one cache projects f once per p, and every value equals
-        # the cache-less one exactly
+        # the block functions F_j(L)f depend only on f and their norms only
+        # on (f, p): a 3x3 (alpha, q) grid at p = 1, 2, inf on one cache
+        # projects f once in all, and every value equals the cache-less one
+        # exactly
         import besovlab.analysis as analysis
         es = circle512_es_1024
         f = lacunary(1.0, 5).build(es.model, es)
@@ -275,8 +338,7 @@ class TestComparatorNorm:
         for p in ps:
             assert [lp_comparator_norm(es, f, BesovParams(alpha, p, q, 5), cache=cache)
                     for alpha, q in grid] == expected[p]
-            assert len(projected) == 1
-            projected.clear()
+        assert len(projected) == 1
 
     def test_blocks_and_solves_share_a_cache_without_colliding(self, circle512_es_1024):
         es = circle512_es_1024
@@ -411,6 +473,17 @@ class TestKFunctional:
             assert all(v <= norm2 * (1 + 1e-12) for v in vals)
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
+    def test_rejects_a_negative_order_or_nan_t(self, circle512_es_1024, rng):
+        # lambda_0 = 0 to a negative power made mu infinite and K NaN
+        es = circle512_es_1024
+        f = random_band(es, rng, 9)
+        with pytest.raises(ValueError, match="order"):
+            k_functional_quadratic(es, f, 0.5, -1)
+        with pytest.raises(ValueError, match="order"):
+            interpolation_norm(es, f, 0.5, 2.0, -1, np.geomspace(1e-3, 1.0, 9))
+        with pytest.raises(ValueError, match="t must"):
+            k_functional_quadratic(es, f, np.nan, 2)
+
     def test_concave_in_t_squared(self, circle512_es_1024, rng):
         es = circle512_es_1024
         f = random_band(es, rng, 17)
@@ -451,9 +524,13 @@ class TestInterpolationNorm:
                 inorm = interpolation_norm(es, f, alpha / k, 2.0, k, tg)
                 assert 1.0 / 8.0 <= an / inorm <= 8.0
 
-    @pytest.mark.parametrize("q", [2.0, np.inf])
-    def test_matches_per_t_k_functional(self, circle512_es_1024, rng, q):
-        es = circle512_es_1024
+    @pytest.mark.parametrize("fixture", ["circle512_es_1024", "sphere16_es",
+                                         "icosphere3_es"])
+    @pytest.mark.parametrize("q", [1.0, 2.0, np.inf])
+    def test_matches_per_t_k_functional(self, request, fixture, rng, q):
+        # the grid form equals the one-t form bitwise, also where the
+        # eigenvalues are not perfect squares
+        es = request.getfixturevalue(fixture)
         f = random_band(es, rng, 9)
         tg = np.geomspace(1e-4, 1.0, 50)
         weighted = tg ** -0.5 * np.array([k_functional_quadratic(es, f, t, 2)

@@ -328,3 +328,24 @@ def test_jackson_trend_ignores_resolved_levels(tmp_path):
                if a["name"].startswith("jackson.bounded")]
     assert len(bounded) == 3
     assert all(a["passed"] and a["value"] == 1.0 for a in bounded)
+
+
+def test_besov_projects_each_function_once(tmp_path, monkeypatch):
+    # the band check, Jackson, the own-band line, Bernstein, the comparator
+    # and the interpolation norm all read one projection per corpus function
+    import besovlab.analysis
+    import besovlab.spectrum
+    orig = besovlab.spectrum.project
+    projected = []
+
+    def counting(eigsys, f):
+        projected.append(f.values.tobytes())
+        return orig(eigsys, f)
+
+    for mod in (besovlab.analysis, cli):
+        if getattr(mod, "project", None) is orig:
+            monkeypatch.setattr(mod, "project", counting)
+    code = run_cli(["besov", "--nodes", "256", "--jmax", "3", "--p", "2,4",
+                    "--alpha", "0.5,1,1.5", "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert len(projected) == len(set(projected)) == len(default_corpus("circle"))

@@ -21,7 +21,7 @@ def library_tour() -> str:
 def test_library_tour_runs(capsys):
     exec(compile(library_tour(), str(README), "exec"), {})
     printed = capsys.readouterr().out.splitlines()
-    assert len(printed) == 3
+    assert len(printed) == 4
 
 
 def test_example_config_resolves(tmp_path):
