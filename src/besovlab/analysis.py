@@ -131,35 +131,26 @@ def errors_at_cutoffs(eigsys: EigenSystem, f: GridFunction, p: float,
     return out
 
 
-def a_norm_continuous(eigsys: EigenSystem, f: GridFunction, alpha: float,
-                      p: float, q: float, t_grid,
+def a_norm_continuous(eigsys: EigenSystem, f: GridFunction, params: BesovParams,
                       cache: ErrorCache | None = None) -> float:
-    """Continuous-parameter approximation norm over the cutoff range of t_grid.
+    """Continuous-parameter approximation norm over the cutoffs t in [1, 4^J].
 
     E(f, t, p) is a right-continuous step function of the cutoff t, constant
     between consecutive eigenvalues, so the integral
     int (t^(alpha/2) E(f,t,p))^q dt/t is evaluated exactly on each step
     segment (cutoff-variable scaling: t is an eigenvalue bound, and the
-    dyadic norm samples it at t = 2^(2j)). Refining t_grid beyond the
-    eigenvalue resolution therefore changes nothing; only its endpoints
-    matter.
+    dyadic norm samples it at t = 2^(2j), the endpoints of this range).
     """
-    if not 0 < alpha < np.inf:
-        raise ValueError("alpha must be positive and finite")
-    if not q > 0:
-        raise ValueError("q must satisfy 0 < q <= inf")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if not np.all(np.isfinite(t_grid) & (t_grid > 0)):
-        raise ValueError("t_grid must be positive and finite")
-    t_lo, t_hi = float(t_grid.min()), float(t_grid.max())
+    t_lo, t_hi = 1.0, 4.0 ** params.J
     if t_hi > eigsys.band_limit:
-        raise ValueError("t_grid exceeds the computed band limit")
+        raise ValueError("4^J exceeds the computed band limit")
     model = eigsys.model
     lam = eigsys.eigenvalues
+    p, q = params.p, params.q
     breaks = np.unique(np.concatenate([[t_lo, t_hi],
                                        lam[(lam > t_lo) & (lam < t_hi)]]))
     evals = [r.error for r in errors_at_cutoffs(eigsys, f, p, breaks[:-1], cache)]
-    expo = alpha / 2.0
+    expo = params.alpha / 2.0
     if np.isinf(q):
         sup = 0.0
         for (a, b), e in zip(zip(breaks[:-1], breaks[1:]), evals):

@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, sparse
+from scipy import linalg
 
 from .manifold import GridFunction, ManifoldModel, _weighted_norm
 from .spectrum import CoefVector, EigenSystem
@@ -185,10 +185,8 @@ def _solve_lp(u, w, fvals, c0, err0, p):
     if np.isinf(p):
         opts["simplex_dual_edge_weight_strategy"] = "dantzig"
         # minimize s with -s <= f - Uc <= s
-        u_sp = sparse.csr_matrix(u)
-        ones = sparse.csr_matrix(np.ones((n, 1)))
-        a_ub = sparse.vstack([sparse.hstack([u_sp, -ones]),
-                              sparse.hstack([-u_sp, -ones])], format="csr")
+        ones = np.ones((n, 1))
+        a_ub = np.block([[u, -ones], [-u, -ones]])
         cost = np.zeros(k + 1)
         cost[-1] = 1.0
         b_ub = np.concatenate([fvals, -fvals])

@@ -31,8 +31,10 @@ class ManifoldModel:
     weights : ndarray
         Positive quadrature weights summing to the total measure.
     params : dict
-        Constructor parameters. The torus and sphere eigensystems read their
-        grid sizes here, and ``save_eigensystem`` echoes them.
+        Constructor parameters: grid sizes, or a mesh's vertex and face
+        counts (not its file path, so that no output depends on where the
+        mesh file sits). The torus and sphere eigensystems read their grid
+        sizes here, and ``save_eigensystem`` echoes them.
     faces : ndarray, optional
         Triangles of a ``mesh`` model, one row of three vertex indices per
         face. Mesh geodesics are shortest paths on the edge graph.

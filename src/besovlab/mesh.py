@@ -149,8 +149,7 @@ def load_mesh(path) -> ManifoldModel:
     _check_closed_manifold(faces)
     weights = lumped_vertex_areas(verts, faces)
     return ManifoldModel("mesh", 2, verts, weights,
-                         params={"path": str(path), "n_vertices": len(verts),
-                                 "n_faces": len(faces)},
+                         params={"n_vertices": len(verts), "n_faces": len(faces)},
                          faces=faces)
 
 

@@ -1,6 +1,9 @@
 """Eigenvalues and sampled orthonormal eigenfunctions of the Laplace operator.
 
-Analytic bases are used on the circle, torus and sphere. Triangle meshes get
+Each basis builder returns its eigenvalues, labels and n x K eigenfunction
+array already in final order: ascending eigenvalue, ties broken by label.
+Analytic bases are used on the circle, torus and sphere; the circle and the
+torus share one table of Fourier columns per coordinate. Triangle meshes get
 the generalized eigenproblem S u = lam M u of the cotangent stiffness S and
 the lumped mass M, solved in its symmetric form A y = lam y with
 A = M^-1/2 S M^-1/2 and u = M^-1/2 y. The eigenvalues under the band limit
@@ -8,9 +11,9 @@ are counted first, by the inertia of an LDL^T factorization of A minus the
 band (Sylvester's law); shift-invert Lanczos (ARPACK) then asks for one pair
 more than that count, doubling until the last pair returned lies above the
 band. When the band needs more than a sixth of all pairs, a dense solve of
-the whole spectrum is cheaper and runs instead. Columns are always sorted by
-ascending eigenvalue, so the span of the first k columns is the bandlimited
-space at cutoff eigenvalues[k-1].
+the whole spectrum is cheaper and runs instead. Since the columns ascend by
+eigenvalue, the span of the first k columns is the bandlimited space at
+cutoff eigenvalues[k-1].
 """
 
 from __future__ import annotations
@@ -34,8 +37,10 @@ from .mesh import cotangent_stiffness
 class EigenSystem:
     """Sampled orthonormal eigenbasis of the operator, eigenvalues ascending.
 
-    ``eigenfunctions`` has one column per eigenfunction; the Gram matrix
-    U^T diag(w) U is the identity up to quadrature/solver tolerance.
+    ``eigenfunctions`` has one column per eigenfunction and is held in row
+    (C) order, whatever the builder's layout, so that every product with it
+    runs the same BLAS path; the Gram matrix U^T diag(w) U is the identity
+    up to quadrature/solver tolerance.
     """
 
     model: ManifoldModel
@@ -46,7 +51,7 @@ class EigenSystem:
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
-        self.eigenfunctions = np.asarray(self.eigenfunctions, dtype=float)
+        self.eigenfunctions = np.ascontiguousarray(self.eigenfunctions, dtype=float)
         if np.any(np.diff(self.eigenvalues) < 0):
             raise ValueError("eigenvalues must be ascending")
         if self.eigenfunctions.shape != (self.model.n_nodes, len(self.eigenvalues)):
@@ -89,32 +94,34 @@ def build_eigensystem(model: ManifoldModel, band_limit: float) -> EigenSystem:
     Nyquist frequency (2*max_frequency < nodes per dimension), on the sphere
     the top harmonic degree must not exceed the quadrature band.
     """
-    if band_limit <= 0:
-        raise ValueError("band_limit must be positive")
+    if not 0 < band_limit < np.inf:
+        raise ValueError(f"band_limit must be positive and finite, not {band_limit}")
     if model.kind == "circle":
-        triples = _circle_basis(model, band_limit)
+        lam, labels, funcs = _circle_basis(model, band_limit)
     elif model.kind == "torus2":
-        triples = _torus_basis(model, band_limit)
+        lam, labels, funcs = _torus_basis(model, band_limit)
     elif model.kind == "sphere2":
-        triples = _sphere_basis(model, band_limit)
+        lam, labels, funcs = _sphere_basis(model, band_limit)
     elif model.kind == "mesh":
-        triples = _mesh_basis(model, band_limit)
+        lam, labels, funcs = _mesh_basis(model, band_limit)
     else:
         raise ValueError(f"unknown manifold kind {model.kind!r}")
-    lams, labels, cols = triples
-    order = sorted(range(len(lams)), key=lambda i: (lams[i], labels[i]))
-    eigenvalues = np.array([lams[i] for i in order])
-    eigenfunctions = np.column_stack([cols[i] for i in order])
-    labels = [labels[i] for i in order]
-    return EigenSystem(model, eigenvalues, eigenfunctions, float(band_limit), labels)
+    return EigenSystem(model, lam, funcs, float(band_limit), labels)
 
 
-def _circle_1d(angles: np.ndarray, kind: str, m: int) -> np.ndarray:
-    if kind == "const":
-        return np.full(len(angles), 1.0 / np.sqrt(2 * np.pi))
-    if kind == "cos":
-        return np.cos(m * angles) / np.sqrt(np.pi)
-    return np.sin(m * angles) / np.sqrt(np.pi)
+def _fourier_table(angles: np.ndarray, m_max: int):
+    """Orthonormal columns const, cos 1, sin 1, ..., cos m_max, sin m_max at
+    the angles, with the frequency and the label of each column."""
+    m = np.arange(1, m_max + 1)
+    phase = np.outer(angles, m)
+    table = np.empty((len(angles), 2 * m_max + 1))
+    table[:, 0] = 1.0 / np.sqrt(2 * np.pi)
+    table[:, 1::2] = np.cos(phase) / np.sqrt(np.pi)
+    table[:, 2::2] = np.sin(phase) / np.sqrt(np.pi)
+    freqs = (np.arange(2 * m_max + 1) + 1) // 2
+    labels = [("const", 0)] + [(kind, k) for k in range(1, m_max + 1)
+                               for kind in ("cos", "sin")]
+    return table, freqs, labels
 
 
 def _circle_basis(model, band_limit):
@@ -124,14 +131,8 @@ def _circle_basis(model, band_limit):
         raise ValueError(
             f"band_limit {band_limit} needs frequency {m_max}, "
             f"unresolved by {n} nodes (need 2*m < n)")
-    angles = model.nodes[:, 0]
-    lams, labels, cols = [0.0], [("const",)], [_circle_1d(angles, "const", 0)]
-    for m in range(1, m_max + 1):
-        for kind in ("cos", "sin"):
-            lams.append(float(m * m))
-            labels.append((kind, m))
-            cols.append(_circle_1d(angles, kind, m))
-    return lams, labels, cols
+    table, freqs, labels = _fourier_table(model.nodes[:, 0], m_max)
+    return (freqs ** 2).astype(float), [("const",)] + labels[1:], table
 
 
 def _torus_basis(model, band_limit):
@@ -141,23 +142,13 @@ def _torus_basis(model, band_limit):
         raise ValueError(
             f"band_limit {band_limit} needs per-dimension frequency {m_max}, "
             f"unresolved by {n} nodes per dimension")
-    x, y = model.nodes[:, 0], model.nodes[:, 1]
-
-    def factors(m):
-        return [("const", 0)] if m == 0 else [("cos", m), ("sin", m)]
-
-    lams, labels, cols = [], [], []
-    for m1 in range(0, m_max + 1):
-        for m2 in range(0, m_max + 1):
-            lam = float(m1 * m1 + m2 * m2)
-            if lam > band_limit:
-                continue
-            for k1, f1 in factors(m1):
-                for k2, f2 in factors(m2):
-                    lams.append(lam)
-                    labels.append(((k1, f1), (k2, f2)))
-                    cols.append(_circle_1d(x, k1, f1) * _circle_1d(y, k2, f2))
-    return lams, labels, cols
+    tx, freqs, labels = _fourier_table(model.nodes[:, 0], m_max)
+    ty = _fourier_table(model.nodes[:, 1], m_max)[0]
+    lam = (freqs[:, None] ** 2 + freqs[None, :] ** 2).astype(float)
+    pairs = sorted(zip(*np.nonzero(lam <= band_limit)),
+                   key=lambda ij: (lam[ij], labels[ij[0]], labels[ij[1]]))
+    i, j = np.array(pairs).T
+    return lam[i, j], [(labels[a], labels[b]) for a, b in pairs], tx[:, i] * ty[:, j]
 
 
 def real_spherical_harmonic(l: int, m: int, nodes: np.ndarray) -> np.ndarray:
@@ -182,13 +173,11 @@ def _sphere_basis(model, band_limit):
         raise ValueError(
             f"band_limit {band_limit} needs harmonic degree {l_max}, "
             f"beyond the quadrature band {band}")
-    lams, labels, cols = [], [], []
-    for l in range(l_max + 1):
-        for m in range(-l, l + 1):
-            lams.append(float(l * (l + 1)))
-            labels.append(("ylm", l, m))
-            cols.append(real_spherical_harmonic(l, m, model.nodes))
-    return lams, labels, cols
+    labels = [("ylm", l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
+    lam = np.array([l * (l + 1) for _, l, _ in labels], dtype=float)
+    funcs = np.array([real_spherical_harmonic(l, m, model.nodes)
+                      for _, l, m in labels]).T
+    return lam, labels, funcs
 
 
 # Shift-invert Lanczos costs about n*k^2 for k eigenpairs, the dense solve
@@ -238,15 +227,11 @@ def _mesh_basis(model, band_limit):
             f"{lam[-1]:.3g}; the mesh cannot certify the span")
     keep = lam <= band_limit
     funcs = d[:, None] * vecs[:, keep]
-    # deterministic sign: largest-magnitude entry positive
-    for col in range(funcs.shape[1]):
-        i = np.argmax(np.abs(funcs[:, col]))
-        if funcs[i, col] < 0:
-            funcs[:, col] *= -1
-    lams = [float(v) for v in lam[keep]]
-    labels = [("mesh", i) for i in range(len(lams))]
-    cols = [funcs[:, i] for i in range(funcs.shape[1])]
-    return lams, labels, cols
+    # deterministic sign: the largest-magnitude entry of each column positive
+    peak = funcs[np.argmax(np.abs(funcs), axis=0), np.arange(funcs.shape[1])]
+    funcs[:, peak < 0] *= -1
+    lam = lam[keep]
+    return lam, [("mesh", i) for i in range(len(lam))], funcs
 
 
 def _count_below(sym, shift):

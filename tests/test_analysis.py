@@ -28,9 +28,10 @@ def random_band(es, rng, count):
 
 
 class TestBesovParams:
-    @pytest.mark.parametrize("bad", [{"alpha": np.nan}, {"alpha": 0.0},
-                                     {"alpha": np.inf}, {"p": np.nan},
-                                     {"p": 0.5}, {"q": np.nan}, {"q": 0.0}])
+    @pytest.mark.parametrize("bad", [{"alpha": np.nan}, {"alpha": -1.0},
+                                     {"alpha": 0.0}, {"alpha": np.inf},
+                                     {"p": np.nan}, {"p": 0.5}, {"q": np.nan},
+                                     {"q": -1.0}, {"q": 0.0}])
     def test_rejects_nan_and_out_of_range(self, bad):
         args = dict(alpha=1.0, p=2.0, q=2.0, J=3) | bad
         with pytest.raises(ValueError):
@@ -39,39 +40,22 @@ class TestBesovParams:
     def test_accepts_infinite_p_and_q(self):
         BesovParams(alpha=1.0, p=np.inf, q=np.inf, J=3)
 
-    @pytest.mark.parametrize("norm,bad", [
-        ("continuous", {"alpha": np.nan}), ("continuous", {"alpha": -1.0}),
-        ("continuous", {"alpha": 0.0}), ("continuous", {"alpha": np.inf}),
-        ("continuous", {"q": np.nan}), ("continuous", {"q": -1.0}),
-        ("continuous", {"q": 0.0}), ("interpolation", {"q": np.nan}),
-        ("interpolation", {"q": -1.0}), ("interpolation", {"q": 0.0})])
-    def test_norms_with_bare_alpha_q_apply_the_same_rules(self, norm, bad):
-        # a_norm_continuous and interpolation_norm take alpha and q as
-        # floats; a NaN or out-of-range value raises instead of returning
-        # NaN or a finite number
+    @pytest.mark.parametrize("bad", [{"q": np.nan}, {"q": -1.0}, {"q": 0.0}])
+    def test_interpolation_norm_applies_the_same_rules(self, bad):
+        # interpolation_norm takes q as a float; a NaN or out-of-range
+        # value raises instead of returning NaN or a finite number
         es = build_eigensystem(build_circle(128), 63.0 ** 2)
         f = lacunary(1.0, 3).build(es.model, es)
-        args = dict(alpha=1.0, q=2.0) | bad
         with pytest.raises(ValueError):
-            if norm == "continuous":
-                a_norm_continuous(es, f, args["alpha"], 2.0, args["q"],
-                                  np.geomspace(1.0, 64.0, 9))
-            else:
-                interpolation_norm(es, f, 0.5, args["q"], 2,
-                                   np.geomspace(1e-3, 1.0, 9))
+            interpolation_norm(es, f, 0.5, bad["q"], 2, np.geomspace(1e-3, 1.0, 9))
 
-    @pytest.mark.parametrize("norm", ["continuous", "interpolation"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
-    def test_norms_reject_bad_t_grid_entries(self, norm, bad):
-        # a NaN entry used to pass the positivity check: the continuous norm
-        # then returned ||f||_2 alone and the interpolation norm NaN
+    def test_interpolation_norm_rejects_bad_t_grid_entries(self, bad):
+        # a NaN entry used to pass the positivity check and give NaN
         es = build_eigensystem(build_circle(128), 63.0 ** 2)
         f = lacunary(1.0, 3).build(es.model, es)
         with pytest.raises(ValueError, match="t_grid"):
-            if norm == "continuous":
-                a_norm_continuous(es, f, 1.0, 2.0, 2.0, [1.0, bad, 16.0])
-            else:
-                interpolation_norm(es, f, 0.5, 2.0, 2, [1e-3, bad, 1.0])
+            interpolation_norm(es, f, 0.5, 2.0, 2, [1e-3, bad, 1.0])
 
 
 class TestSharedCache:
@@ -222,17 +206,14 @@ class TestANormContinuous:
     def test_zero_function(self, circle512_es_1024):
         es = circle512_es_1024
         f = GridFunction(es.model, np.zeros(es.model.n_nodes))
-        val = a_norm_continuous(es, f, 1.0, 2.0, 2.0, np.geomspace(1, 64, 9))
+        val = a_norm_continuous(es, f, BesovParams(alpha=1.0, p=2.0, q=2.0, J=3))
         assert val == 0.0
 
-    def test_grid_refinement_changes_nothing(self, circle512_es_1024):
-        # E(f, t, p) is a step function: exact segment integration makes the
-        # value independent of interior grid points
-        es = circle512_es_1024
+    def test_rejects_a_range_beyond_the_band(self, circle512_es_1024):
+        es = circle512_es_1024       # band 1024 = 4^5
         f = lacunary(1.0, 4).build(es.model, es)
-        coarse = a_norm_continuous(es, f, 1.0, 2.0, 2.0, np.geomspace(1, 256, 7))
-        fine = a_norm_continuous(es, f, 1.0, 2.0, 2.0, np.geomspace(1, 256, 400))
-        assert coarse == pytest.approx(fine, rel=1e-12)
+        with pytest.raises(ValueError, match="band limit"):
+            a_norm_continuous(es, f, BesovParams(alpha=1.0, p=2.0, q=2.0, J=6))
 
     @pytest.mark.parametrize("q", [1.0, 2.0, np.inf])
     def test_comparable_to_dyadic(self, circle512_es_1024, q):
@@ -240,9 +221,9 @@ class TestANormContinuous:
         cache = ErrorCache()
         for entry in default_corpus("circle"):
             f = entry.build(es.model, es)
-            a = a_norm(es, f, BesovParams(alpha=1.0, p=2.0, q=q, J=5), cache)
-            cont = a_norm_continuous(es, f, 1.0, 2.0, q,
-                                     np.geomspace(1.0, 4.0 ** 5, 30), cache)
+            params = BesovParams(alpha=1.0, p=2.0, q=q, J=5)
+            a = a_norm(es, f, params, cache)
+            cont = a_norm_continuous(es, f, params, cache)
             assert 1.0 / 8.0 <= a / cont <= 8.0
 
 

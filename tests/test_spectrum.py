@@ -10,10 +10,12 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from besovlab import spectrum
 from besovlab.cli import main
-from besovlab.manifold import GridFunction, build_circle, lp_norm
+from besovlab.manifold import (GridFunction, build_circle, build_sphere2,
+                               build_torus2, lp_norm)
 from besovlab.mesh import cotangent_stiffness, icosphere, load_mesh, write_off
 from besovlab.spectrum import (CoefVector, apply_power, build_eigensystem,
-                               check_orthonormality, project, save_eigensystem,
+                               check_orthonormality, project,
+                               real_spherical_harmonic, save_eigensystem,
                                synthesize)
 
 
@@ -50,6 +52,79 @@ class TestBuild:
                           if m1 * m1 + m2 * m2 <= 8
                           for _ in range(max(1, 2 * (m1 > 0)) * max(1, 2 * (m2 > 0))))
         assert es.eigenvalues.tolist() == [float(v) for v in expected]
+
+
+class TestBandLimitGuard:
+    @pytest.mark.parametrize("model", ["circle1024", "torus16", "sphere16",
+                                       "icosphere3"])
+    @pytest.mark.parametrize("band", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_rejects_non_positive_and_non_finite_bands(self, request, monkeypatch,
+                                                       model, band):
+        # NaN used to reach int() or a mesh eigensolve at a NaN shift, and
+        # an infinite band raised OverflowError
+        for name in ("splu", "eigh", "eigsh"):
+            monkeypatch.setattr(spectrum, name, forbid(name))
+        with pytest.raises(ValueError, match="band_limit must be positive and finite"):
+            build_eigensystem(request.getfixturevalue(model), band)
+
+
+def fourier_column(angles, kind, m):
+    if kind == "const":
+        return np.full(len(angles), 1.0 / np.sqrt(2 * np.pi))
+    trig = np.cos if kind == "cos" else np.sin
+    return trig(m * angles) / np.sqrt(np.pi)
+
+
+def reference_basis(model, band):
+    """(eigenvalues, labels, columns) of an analytic basis, written one
+    closed-form column at a time and ordered by sorted() over
+    (eigenvalue, label)."""
+    m_max = int(np.floor(np.sqrt(band) + 1e-9))
+    if model.kind == "circle":
+        x = model.nodes[:, 0]
+        entries = [(0.0, ("const",), fourier_column(x, "const", 0))] + [
+            (float(m * m), (kind, m), fourier_column(x, kind, m))
+            for m in range(1, m_max + 1) for kind in ("cos", "sin")]
+    elif model.kind == "torus2":
+        x, y = model.nodes[:, 0], model.nodes[:, 1]
+        factors = [("const", 0)] + [(kind, m) for m in range(1, m_max + 1)
+                                    for kind in ("cos", "sin")]
+        entries = [(float(a[1] ** 2 + b[1] ** 2), (a, b),
+                    fourier_column(x, *a) * fourier_column(y, *b))
+                   for a in factors for b in factors
+                   if a[1] ** 2 + b[1] ** 2 <= band]
+    else:
+        l_max = int(np.floor(0.5 * (np.sqrt(1 + 4 * band) - 1) + 1e-9))
+        entries = [(float(l * (l + 1)), ("ylm", l, m),
+                    real_spherical_harmonic(l, m, model.nodes))
+                   for l in range(l_max + 1) for m in range(-l, l + 1)]
+    entries.sort(key=lambda e: (e[0], e[1]))
+    return (np.array([e[0] for e in entries]), [e[1] for e in entries],
+            np.column_stack([e[2] for e in entries]))
+
+
+class TestBasisColumns:
+    @pytest.mark.parametrize("build,n,band", [
+        (build_circle, 64, 31.0 ** 2), (build_circle, 512, 255.0 ** 2),
+        (build_torus2, 16, 49.0), (build_torus2, 20, 81.0),
+        (build_sphere2, 12, 156.0), (build_sphere2, 16, 272.0)])
+    def test_analytic_basis_is_the_closed_form(self, build, n, band):
+        model = build(n)
+        es = build_eigensystem(model, band)
+        lam, labels, cols = reference_basis(model, band)
+        assert np.array_equal(es.eigenvalues, lam)
+        assert es.labels == labels
+        assert np.array_equal(es.eigenfunctions, cols)
+        assert es.eigenfunctions.flags.c_contiguous
+
+    @pytest.mark.parametrize("band", [64.0, 300.0])    # sparse, dense solve
+    def test_mesh_columns_have_a_positive_peak_and_index_labels(self, icosphere3,
+                                                                band):
+        es = build_eigensystem(icosphere3, band)
+        for col in es.eigenfunctions.T:
+            assert col[np.argmax(np.abs(col))] > 0
+        assert es.labels == [("mesh", i) for i in range(es.n_eigen)]
+        assert es.eigenfunctions.flags.c_contiguous
 
 
 class TestOrthonormality:
@@ -409,11 +484,12 @@ class TestMeshEigensolve:
         with pytest.raises(ValueError, match="cannot certify"):
             build_eigensystem(icospheres[3], 1e4)   # the bound is 478
 
-    def test_band_above_the_spectrum_exits_2(self, icospheres, tmp_path, capsys):
+    def test_band_above_the_spectrum_exits_2(self, tmp_path, capsys):
+        mesh = tmp_path / "icosphere1.off"
+        write_off(mesh, *icosphere(1))
         out = tmp_path / "o"
-        code = main(["spectrum", "--manifold", "mesh", "--mesh",
-                     icospheres[1].params["path"], "--band", "25",
-                     "--out", str(out)])
+        code = main(["spectrum", "--manifold", "mesh", "--mesh", str(mesh),
+                     "--band", "25", "--out", str(out)])
         assert code == 2
         assert "cannot certify" in capsys.readouterr().err
 
