@@ -13,7 +13,7 @@ from .approx import ApproxResult, best_approx
 from .corpus import (CorpusEntry, default_corpus, eigen_pure, lacunary,
                      lacunary_l2_error, manifest, random_bandlimited,
                      square_wave, square_wave_l2_error)
-from .filters import FilterFamily, SmoothCutoff, check_partition
+from .filters import F, check_partition, f_j, h
 from .manifold import (GridFunction, ManifoldModel, build_circle, build_sphere2,
                        build_torus2, lp_norm)
 from .mesh import MeshFormatError, icosphere, load_mesh, write_off

@@ -19,12 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import ApproxResult, best_approx
-from .filters import FilterFamily
+from .filters import f_j
 from .manifold import GridFunction, lp_norm
 from .spectrum import CoefVector, EigenSystem, apply_power, project, synthesize
 
 BAND_TOL = 1e-8  # relative tolerance of every bandlimited test
 BAND_CHECK = "band-check"  # ``at`` of the per-function band-check entries
+LP_BLOCKS = "lp-blocks"    # ``at`` of the Littlewood-Paley block entries
+K_T_GRID = np.geomspace(1e-4, 1.0, 120)  # the t-grid of ``interpolation_norm``
 
 
 @dataclass
@@ -83,18 +85,16 @@ class ErrorCache:
 
     - a cutoff entry, ``at`` a cutoff omega: the best-approximation result
       for E(f, omega, p);
-    - a filter-bank entry, ``at`` a ``FilterFamily``: the tuple of
+    - a filter-bank entry, ``at`` = ``LP_BLOCKS``: the tuple of
       Littlewood-Paley block norms ||F_j(L)f||_p;
     - a per-function entry, p = ``None``: under ``BAND_CHECK`` the band check
-      of f (its eigencoefficients and whether they reproduce f), under a
-      ``FilterFamily`` the tuple of block functions F_j(L)f that every p
-      reads.
+      of f (its eigencoefficients and whether they reproduce f), under
+      ``LP_BLOCKS`` the tuple of block functions F_j(L)f that every p reads.
 
-    A family never equals a number or ``BAND_CHECK``, and p = ``None`` never
-    equals a float p, so the kinds cannot answer for one another. A
-    function rebuilt with the same samples hits the entries of the first
-    copy, and no function is referenced; the models of the stored entries
-    are.
+    A string ``at`` never equals a cutoff, and p = ``None`` never equals a
+    float p, so the kinds cannot answer for one another. A function rebuilt
+    with the same samples hits the entries of the first copy, and no
+    function is referenced; the models of the stored entries are.
     """
 
     def __init__(self):
@@ -205,30 +205,29 @@ def lp_comparator_norm(eigsys: EigenSystem, f: GridFunction,
                        cache: ErrorCache | None = None) -> float:
     """Littlewood-Paley comparator: ||F_0(L)f||_p + l_q sum of scaled blocks.
 
-    The filter bank is ``FilterFamily()`` applied at unit scale, so
+    The filter bank F_j of ``filters`` is applied at unit scale, so
     block j covers eigenvalues in [4^(j-1), 16*4^(j-1)]; blocks beyond the
     band limit vanish identically and the sum is finite without truncation
     error. Per ``cache``, the block functions F_j(L)f are synthesized once
     per function from the band check's coefficients, their norms are taken
     once per (f, p), and (alpha, q) only re-weight them.
     """
-    family = FilterFamily()
     cache = ErrorCache() if cache is None else cache
     model = eigsys.model
-    norms = cache.lookup(f, params.p, family)
+    norms = cache.lookup(f, params.p, LP_BLOCKS)
     if norms is None:
-        blocks = cache.lookup(f, None, family)
+        blocks = cache.lookup(f, None, LP_BLOCKS)
         if blocks is None:
             lam, u = eigsys.eigenvalues, eigsys.eigenfunctions
             c = _band_check(eigsys, f, cache)[0].coefficients
             j_max = 1
             while 4.0 ** (j_max - 1) <= eigsys.band_limit:
                 j_max += 1
-            blocks = tuple(GridFunction(model, u @ (c * family.f_j(j, lam)))
+            blocks = tuple(GridFunction(model, u @ (c * f_j(j, lam)))
                            for j in range(j_max))
-            cache.store(f, None, family, blocks)
+            cache.store(f, None, LP_BLOCKS, blocks)
         norms = tuple(lp_norm(model, g, params.p) for g in blocks)
-        cache.store(f, params.p, family, norms)
+        cache.store(f, params.p, LP_BLOCKS, norms)
     terms = [2.0 ** (params.alpha * j) * norms[j] for j in range(1, len(norms))]
     return norms[0] + _q_sum(np.array(terms), params.q)
 
@@ -308,27 +307,16 @@ def _k_quadratic(c: np.ndarray, lam: np.ndarray, t: np.ndarray, k: int) -> np.nd
 
 
 def interpolation_norm(eigsys: EigenSystem, f: GridFunction, theta: float,
-                       q: float, k: int, t_grid,
-                       cache: ErrorCache | None = None) -> float:
-    """||f||_2 plus the truncated interpolation quasi-norm from K_2.
+                       k: int, cache: ErrorCache | None = None) -> float:
+    """||f||_2 plus the truncated interpolation quasi-norm from K_2 at q = 2.
 
-    Log-grid quadrature of (t^-theta K_2(f,t))^q dt/t over the given grid
-    (trapezoid in log t); sup over the grid for q = inf. The band check of f
-    is read through ``cache``.
+    Log-grid quadrature of (t^-theta K_2(f,t))^2 dt/t over ``K_T_GRID``
+    (trapezoid in log t). The band check of f is read through ``cache``.
     """
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
-    if not q > 0:
-        raise ValueError("q must satisfy 0 < q <= inf")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if not np.all(np.isfinite(t_grid) & (t_grid > 0)):
-        raise ValueError("t_grid must be positive and finite")
-    t_grid = np.sort(t_grid)
     c = _require_bandlimited(eigsys, f, cache).coefficients
-    kvals = _k_quadratic(c, eigsys.eigenvalues, t_grid, k)
-    weighted = t_grid ** (-theta) * kvals
-    base = lp_norm(eigsys.model, f, 2)
-    if np.isinf(q):
-        return base + float(weighted.max())
-    integral = np.trapezoid(weighted ** q, np.log(t_grid))
-    return base + float(integral ** (1.0 / q))
+    kvals = _k_quadratic(c, eigsys.eigenvalues, K_T_GRID, k)
+    weighted = K_T_GRID ** (-theta) * kvals
+    integral = np.trapezoid(weighted ** 2, np.log(K_T_GRID))
+    return lp_norm(eigsys.model, f, 2) + float(integral ** 0.5)

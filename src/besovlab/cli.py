@@ -35,7 +35,7 @@ from .analysis import (BesovParams, ErrorCache, a_norm, a_norm_continuous,
                        bandlimited_coefficients, bernstein_ratio,
                        errors_at_cutoffs, interpolation_norm, is_bandlimited,
                        jackson_ratios, lp_comparator_norm)
-from .filters import FilterFamily, check_partition
+from .filters import F, check_partition, f_j
 from .manifold import (GridFunction, build_circle, build_sphere2, build_torus2,
                        lp_norm)
 from .mesh import load_mesh
@@ -130,6 +130,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
             if not admissible(v):
                 raise ConfigError(f"parameter grid {key!r} holds {v}; "
                                   f"values must be {rule}")
+        if len(set(cfg[key])) < len(cfg[key]):
+            raise ConfigError(f"parameter grid {key!r} repeats a value: {cfg[key]}")
     for key, least in (("k", 1), ("jmax", 1), ("trials", 1), ("seed", 0)):
         if cfg[key] < least:
             raise ConfigError(f"{key} is {cfg[key]}; it must be at least {least}")
@@ -269,32 +271,28 @@ def run_spectrum(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
 
 
 def run_filters(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
-    fam = FilterFamily()
     J = 5
     grid = np.linspace(0.0, 4.0 ** J, 10001)
-    dev = check_partition(fam, J, grid)
+    dev = check_partition(J, grid)
     report.check("filters.partition_of_unity", dev < 1e-12, dev, 1e-12)
     sample = np.geomspace(1e-2, 4.0 ** J, 200)
-    rows = np.column_stack([sample] + [fam.f_j(j, sample)
+    rows = np.column_stack([sample] + [f_j(j, sample)
                                        for j in range(J + 1)]).tolist()
     write_table(outdir, "filters", ["lambda"] + [f"F{j}" for j in range(J + 1)], rows)
 
 
 def run_kernel_decay(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
-    fam = FilterFamily()
-    n_dim = model.dim
     # scales 2^-j, 0 < t <= 1, whose filter band the eigensystem covers
     usable = [2.0 ** (-j) for j in range(0, 7)
               if 16.0 * 4.0 ** j <= eigsys.band_limit]
     t_list = sorted(usable)[:5]
     if len(t_list) < 2:
         raise ConfigError("band too small for a kernel-decay sweep")
-    N = n_dim + 2.0
     fits, rows, runtimes = [], [], []
     for t in t_list:
         t0 = time.perf_counter()
-        kern = build_kernel(eigsys, fam.F, t)
-        fit = fit_decay_constant(kern, N)
+        kern = build_kernel(eigsys, F, t)
+        fit = fit_decay_constant(kern)
         runtimes.append(1000.0 * (time.perf_counter() - t0))
         fits.append(fit)
         rows.append([fit.t, fit.N, fit.C, fit.max_abs_kernel,
@@ -303,15 +301,15 @@ def run_kernel_decay(cfg, model, eigsys, outdir, report: Report, cache: ErrorCac
     ratio = max(cs) / min(cs) if min(cs) > 0 else float("inf")
     report.check("kernel.decay_uniformity", ratio < 4.0, ratio, 4.0,
                  note=f"t in {t_list}")
-    vol = [weighted_decay_integral(model, t, n_dim + 2.0) for t in t_list]
+    vol = [weighted_decay_integral(model, t) for t in t_list]
     vratio = max(vol) / min(vol)
     report.check("kernel.volume_uniformity", vratio < 8.0, vratio, 8.0)
     write_table(outdir, "kernel_decay", ["t", "N", "C", "max_abs_K", "runtime_ms"], rows)
     # operator-norm lower estimates over the same scales
     norm_rows = []
     for p in cfg["p"]:
-        ests = [operator_norm_estimate(eigsys, fam.F, t, p, p,
-                                       trials=cfg["trials"], seed=cfg["seed"])
+        ests = [operator_norm_estimate(eigsys, F, t, p, trials=cfg["trials"],
+                                       seed=cfg["seed"])
                 for t in t_list]
         for t, e in zip(t_list, ests):
             norm_rows.append([p, t, e])
@@ -375,6 +373,9 @@ def run_bernstein(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache)
     k = cfg["k"]
     rng = np.random.default_rng(cfg["seed"])
     omegas = [w for w in (4.0, 16.0, 64.0) if w <= eigsys.band_limit]
+    if not omegas:
+        raise ConfigError(f"band {eigsys.band_limit:g} too small for a bernstein "
+                          "sweep; it needs at least 4")
     rows = []
     for p in cfg["p"]:
         worsts = []
@@ -464,7 +465,6 @@ def run_besov(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
     report.check("besov.equivalence_constant", c_bound < 50.0, c_bound, 50.0,
                  note="max of ratio and 1/ratio over corpus x params")
     # continuous and interpolation norms vs the dyadic a-norm at p = 2
-    kt_grid = np.geomspace(1e-4, 1.0, 120)
     for entry, f, bandlimited in funcs:
         for alpha in cfg["alpha"]:
             params = BesovParams(alpha=alpha, p=2.0, q=2.0, J=J)
@@ -475,8 +475,7 @@ def run_besov(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
             report.check(f"besov.continuous[{entry.id},alpha={alpha:g}]",
                          ok, ratio, 8.0)
             if 0 < alpha / k < 1 and bandlimited:
-                inorm = interpolation_norm(eigsys, f, alpha / k, 2.0, k, kt_grid,
-                                           cache)
+                inorm = interpolation_norm(eigsys, f, alpha / k, k, cache)
                 iratio = a / inorm
                 report.check(f"besov.interpolation[{entry.id},alpha={alpha:g}]",
                              1.0 / 32.0 <= iratio <= 32.0, iratio, 32.0)

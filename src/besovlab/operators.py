@@ -3,8 +3,9 @@
 A scalar function G acting through the eigensystem gives the operator with
 kernel K(x,y) = sum_l G(t^2 lambda_l) u_l(x) u_l(y). This module materializes
 such kernels, fits the smallest constant in the off-diagonal decay bound
-|K| <= C t^-n (1 + d/t)^-N, measures Schur-type alpha-norms, and checks the
-Young inequality and p->q operator-norm boundedness they imply.
+|K| <= C t^-n (1 + d/t)^-N with N = n + ``DECAY_EXCESS``, measures
+Schur-type alpha-norms, and checks the Young inequality and p->p
+operator-norm boundedness they imply.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import numpy as np
 
 from .manifold import GridFunction, ManifoldModel, lp_norm
 from .spectrum import CoefVector, EigenSystem, project, synthesize
+
+DECAY_EXCESS = 2.0  # the decay exponent N exceeds the dimension n by this
 
 
 @dataclass
@@ -112,27 +115,23 @@ def young_apply_check(K: KernelMatrix, f: GridFunction, p: float, q: float,
     return lhs, rhs
 
 
-def fit_decay_constant(K: KernelMatrix, N: float) -> DecayFit:
-    """Grid-exact minimal constant in |K| <= C t^-n (1 + d/t)^-N at t = K.t.
-
-    N must exceed the manifold dimension for the bound to carry its usual
-    meaning; the fit itself works for any N.
-    """
+def fit_decay_constant(K: KernelMatrix) -> DecayFit:
+    """Grid-exact minimal constant in |K| <= C t^-n (1 + d/t)^-N at t = K.t,
+    with N = n + ``DECAY_EXCESS``."""
     model, t = K.model, K.t
-    if N <= model.dim:
-        raise ValueError("decay exponent N must exceed the dimension")
+    N = model.dim + DECAY_EXCESS
     d = model.distance_matrix()
-    envelope = t ** (-model.dim) * (1.0 + d / t) ** (-float(N))
+    envelope = t ** (-model.dim) * (1.0 + d / t) ** (-N)
     a = np.abs(K.matrix)
-    return DecayFit(t=float(t), N=float(N), C=float((a / envelope).max()),
+    return DecayFit(t=float(t), N=N, C=float((a / envelope).max()),
                     max_abs_kernel=float(a.max()))
 
 
-def operator_norm_estimate(eigsys: EigenSystem, G, t: float, p: float, q: float,
+def operator_norm_estimate(eigsys: EigenSystem, G, t: float, p: float,
                            trials: int, seed: int) -> float:
-    """Randomized lower estimate of ||G(t^2 L)||_{p->q}.
+    """Randomized lower estimate of ||G(t^2 L)||_{p->p}.
 
-    Max of ||G(t^2 L) f||_q over ``trials`` random unit-L_p test functions.
+    Max of ||G(t^2 L) f||_p over ``trials`` random unit-L_p test functions.
     Trials cycle through four candidate families (white node noise, random
     coefficients weighted by the multiplier, a point mass at a random node,
     and the sign pattern of a random kernel row); every family yields a valid
@@ -165,12 +164,13 @@ def operator_norm_estimate(eigsys: EigenSystem, G, t: float, p: float, q: float,
             continue
         c = project(eigsys, GridFunction(model, raw / norm)).coefficients
         out = synthesize(eigsys, CoefVector(c * g))
-        best = max(best, lp_norm(model, out, q))
+        best = max(best, lp_norm(model, out, p))
     return best
 
 
-def weighted_decay_integral(model: ManifoldModel, t: float, N: float) -> float:
-    """max_x t^-n sum_j w_j (1 + d(x,x_j)/t)^-N, the discrete volume bound."""
+def weighted_decay_integral(model: ManifoldModel, t: float) -> float:
+    """max_x t^-n sum_j w_j (1 + d(x,x_j)/t)^-N, the discrete volume bound,
+    with N = n + ``DECAY_EXCESS``."""
     d = model.distance_matrix()
-    vals = ((1.0 + d / t) ** (-float(N))) @ model.weights
+    vals = ((1.0 + d / t) ** (-(model.dim + DECAY_EXCESS))) @ model.weights
     return float(vals.max() * t ** (-model.dim))

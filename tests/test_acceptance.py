@@ -13,14 +13,12 @@ from besovlab.analysis import (BesovParams, ErrorCache, a_norm,
                                k_functional_quadratic, lp_comparator_norm)
 from besovlab.approx import best_approx
 from besovlab.corpus import default_corpus, lacunary, square_wave
-from besovlab.filters import FilterFamily
+from besovlab.filters import F, f_j
 from besovlab.manifold import GridFunction, lp_norm
 from besovlab.operators import (KernelMatrix, build_kernel, fit_decay_constant,
                                 operator_norm_estimate,
                                 weighted_decay_integral, young_apply_check)
 from besovlab.spectrum import CoefVector, check_orthonormality, synthesize
-
-FAM = FilterFamily()
 
 
 def _report(name, passed, detail):
@@ -39,7 +37,7 @@ def test_criterion_1_partition_of_unity():
     lam = np.linspace(0.0, 4.0 ** J, 10000)
     total = np.zeros_like(lam)
     for j in range(J + 2):
-        total += FAM.f_j(j, lam)
+        total += f_j(j, lam)
     dev = float(np.abs(total - 1.0).max())
     _report("criterion 1 (partition of unity)", dev < 1e-12,
             f"max deviation {dev:.3e} < 1e-12 on [0, 4^{J}]")
@@ -146,17 +144,17 @@ def test_criterion_7_kernel_decay_and_volume(circle512, circle512_es, sphere16):
     cs = []
     for j in range(2, 7):
         t = 2.0 ** (-j)
-        kern = build_kernel(es, FAM.F, t)
-        cs.append(fit_decay_constant(kern, 3.0).C)
+        kern = build_kernel(es, F, t)
+        cs.append(fit_decay_constant(kern).C)
     c_ratio = max(cs) / min(cs)
-    vol_c = [weighted_decay_integral(circle512, 2.0 ** (-j), 3.0)
+    vol_c = [weighted_decay_integral(circle512, 2.0 ** (-j))
              for j in range(1, 7)]
     r_circle = max(vol_c) / min(vol_c)
-    vol_s = [weighted_decay_integral(sphere16, 2.0 ** (-j), 4.0)
+    vol_s = [weighted_decay_integral(sphere16, 2.0 ** (-j))
              for j in range(1, 4)]
     r_sphere = max(vol_s) / min(vol_s)
     # below the node spacing the sphere sum is resolution-limited; report only
-    vol_s_full = [weighted_decay_integral(sphere16, 2.0 ** (-j), 4.0)
+    vol_s_full = [weighted_decay_integral(sphere16, 2.0 ** (-j))
                   for j in range(1, 7)]
     diag = max(vol_s_full) / min(vol_s_full)
     ok = c_ratio < 4.0 and r_circle < 8.0 and r_sphere < 8.0
@@ -191,7 +189,7 @@ def test_criterion_9_operator_bounds(circle512_es):
     es = circle512_es
     spreads = {}
     for p in (1.0, 2.0, np.inf):
-        ests = [operator_norm_estimate(es, FAM.F, 2.0 ** (-j), p, p,
+        ests = [operator_norm_estimate(es, F, 2.0 ** (-j), p,
                                        trials=24, seed=99)
                 for j in range(1, 7)]
         spreads[p] = max(ests) / min(ests)

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from besovlab.analysis import (BAND_CHECK, BesovParams, ErrorCache, a_norm,
-                               a_norm_continuous, bandlimited_coefficients,
-                               bernstein_ratio, errors_at_cutoffs,
-                               interpolation_norm, is_bandlimited,
-                               jackson_ratios, k_functional_quadratic,
-                               lp_comparator_norm)
+from besovlab.analysis import (BAND_CHECK, K_T_GRID, LP_BLOCKS, BesovParams,
+                               ErrorCache, a_norm, a_norm_continuous,
+                               bandlimited_coefficients, bernstein_ratio,
+                               errors_at_cutoffs, interpolation_norm,
+                               is_bandlimited, jackson_ratios,
+                               k_functional_quadratic, lp_comparator_norm)
 from besovlab.corpus import default_corpus, lacunary
-from besovlab.filters import FilterFamily
 from besovlab.manifold import GridFunction, build_circle, lp_norm
 from besovlab.spectrum import CoefVector, build_eigensystem, synthesize
 
@@ -39,23 +38,6 @@ class TestBesovParams:
 
     def test_accepts_infinite_p_and_q(self):
         BesovParams(alpha=1.0, p=np.inf, q=np.inf, J=3)
-
-    @pytest.mark.parametrize("bad", [{"q": np.nan}, {"q": -1.0}, {"q": 0.0}])
-    def test_interpolation_norm_applies_the_same_rules(self, bad):
-        # interpolation_norm takes q as a float; a NaN or out-of-range
-        # value raises instead of returning NaN or a finite number
-        es = build_eigensystem(build_circle(128), 63.0 ** 2)
-        f = lacunary(1.0, 3).build(es.model, es)
-        with pytest.raises(ValueError):
-            interpolation_norm(es, f, 0.5, bad["q"], 2, np.geomspace(1e-3, 1.0, 9))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
-    def test_interpolation_norm_rejects_bad_t_grid_entries(self, bad):
-        # a NaN entry used to pass the positivity check and give NaN
-        es = build_eigensystem(build_circle(128), 63.0 ** 2)
-        f = lacunary(1.0, 3).build(es.model, es)
-        with pytest.raises(ValueError, match="t_grid"):
-            interpolation_norm(es, f, 0.5, 2.0, 2, [1e-3, bad, 1.0])
 
 
 class TestSharedCache:
@@ -107,7 +89,6 @@ class TestReadersThroughACache:
         omega = 4.0 ** J
         f = random_band(es, rng, es.cutoff_index(omega))
         rough = GridFunction(es.model, rng.standard_normal(es.model.n_nodes))
-        tg = np.geomspace(1e-4, 1.0, 60)
         cache = ErrorCache()
         assert is_bandlimited(es, f, cache) is is_bandlimited(es, f) is True
         assert is_bandlimited(es, rough, cache) is is_bandlimited(es, rough) is False
@@ -116,8 +97,8 @@ class TestReadersThroughACache:
             assert (bernstein_ratio(es, f, 2, p, omega, cache)
                     == bernstein_ratio(es, f, 2, p, omega))
         for k in (1, 2):
-            assert (interpolation_norm(es, f, 0.5, 2.0, k, tg, cache)
-                    == interpolation_norm(es, f, 0.5, 2.0, k, tg))
+            assert (interpolation_norm(es, f, 0.5, k, cache)
+                    == interpolation_norm(es, f, 0.5, k))
         for g in (f, rough):
             for p in (1.0, 2.0, 4.0, np.inf):
                 params = BesovParams(alpha=1.0, p=p, q=2.0, J=J)
@@ -134,23 +115,22 @@ class TestReadersThroughACache:
         import besovlab.analysis as analysis
         es = request.getfixturevalue(fixture)
         f = random_band(es, rng, es.cutoff_index(4.0))
-        family = FilterFamily()
         cache = ErrorCache()
         is_bandlimited(es, f, cache)
         lp_comparator_norm(es, f, BesovParams(alpha=1.0, p=2.0, q=2.0, J=1),
                            cache=cache)
-        check, blocks = cache.lookup(f, None, BAND_CHECK), cache.lookup(f, None, family)
+        check, blocks = cache.lookup(f, None, BAND_CHECK), cache.lookup(f, None, LP_BLOCKS)
         assert check[1] is True and len(blocks) > 1
         for p in (1.0, 2.0, 4.0, np.inf):
             for omega in (1.0, 4.0, 16.0):
                 assert cache.lookup(f, p, omega) is None
             if p != 2.0:
-                assert cache.lookup(f, p, family) is None
+                assert cache.lookup(f, p, LP_BLOCKS) is None
         assert cache.lookup(f, None, 4.0) is None
         # a rebuilt copy hits both entries and projects nothing
         again = GridFunction(es.model, f.values.copy())
         assert cache.lookup(again, None, BAND_CHECK) is check
-        assert cache.lookup(again, None, family) is blocks
+        assert cache.lookup(again, None, LP_BLOCKS) is blocks
         monkeypatch.setattr(analysis, "project", None)
         assert is_bandlimited(es, again, cache)
         lp_comparator_norm(es, again, BesovParams(alpha=1.0, p=4.0, q=2.0, J=1),
@@ -331,7 +311,7 @@ class TestComparatorNorm:
         assert a >= lp_norm(es.model, f, 2.0)
         assert a_norm(es, f, params) == a
         assert lp_comparator_norm(es, f, params, cache=cache) == comp
-        blocks = cache.lookup(f, 2.0, FilterFamily())
+        blocks = cache.lookup(f, 2.0, LP_BLOCKS)
         assert isinstance(blocks, tuple) and len(blocks) > 1
         assert cache.lookup(f, 2.0, 1.0).omega == 1.0
 
@@ -461,7 +441,7 @@ class TestKFunctional:
         with pytest.raises(ValueError, match="order"):
             k_functional_quadratic(es, f, 0.5, -1)
         with pytest.raises(ValueError, match="order"):
-            interpolation_norm(es, f, 0.5, 2.0, -1, np.geomspace(1e-3, 1.0, 9))
+            interpolation_norm(es, f, 0.5, -1)
         with pytest.raises(ValueError, match="t must"):
             k_functional_quadratic(es, f, np.nan, 2)
 
@@ -479,8 +459,7 @@ class TestInterpolationNorm:
     def test_zero_function(self, circle512_es_1024):
         es = circle512_es_1024
         f = GridFunction(es.model, np.zeros(es.model.n_nodes))
-        assert interpolation_norm(es, f, 0.5, 2.0, 2,
-                                  np.geomspace(1e-3, 1.0, 40)) == 0.0
+        assert interpolation_norm(es, f, 0.5, 2) == 0.0
 
     def test_k_bounded_by_norm_supports_truncation(self, circle512_es_1024, rng):
         es = circle512_es_1024
@@ -494,7 +473,6 @@ class TestInterpolationNorm:
         # (alpha = theta * k, p = q = 2), asserted within a factor 8
         es = circle512_es_1024
         cache = ErrorCache()
-        tg = np.geomspace(1e-4, 1.0, 120)
         for entry in default_corpus("circle"):
             f = entry.build(es.model, es)
             if not is_bandlimited(es, f):
@@ -502,27 +480,26 @@ class TestInterpolationNorm:
             for alpha, k in ((0.5, 2), (1.0, 2), (1.5, 2)):
                 params = BesovParams(alpha=alpha, p=2.0, q=2.0, J=5)
                 an = a_norm(es, f, params, cache)
-                inorm = interpolation_norm(es, f, alpha / k, 2.0, k, tg)
+                inorm = interpolation_norm(es, f, alpha / k, k)
                 assert 1.0 / 8.0 <= an / inorm <= 8.0
 
     @pytest.mark.parametrize("fixture", ["circle512_es_1024", "sphere16_es",
                                          "icosphere3_es"])
-    @pytest.mark.parametrize("q", [1.0, 2.0, np.inf])
-    def test_matches_per_t_k_functional(self, request, fixture, rng, q):
+    def test_matches_per_t_k_functional(self, request, fixture, rng):
         # the grid form equals the one-t form bitwise, also where the
         # eigenvalues are not perfect squares
         es = request.getfixturevalue(fixture)
         f = random_band(es, rng, 9)
-        tg = np.geomspace(1e-4, 1.0, 50)
+        tg = np.geomspace(1e-4, 1.0, 120)
+        np.testing.assert_array_equal(K_T_GRID, tg)
         weighted = tg ** -0.5 * np.array([k_functional_quadratic(es, f, t, 2)
                                           for t in tg])
-        tail = (weighted.max() if np.isinf(q)
-                else np.trapezoid(weighted ** q, np.log(tg)) ** (1.0 / q))
+        tail = np.trapezoid(weighted ** 2.0, np.log(tg)) ** (1.0 / 2.0)
         expected = lp_norm(es.model, f, 2) + float(tail)
-        assert interpolation_norm(es, f, 0.5, q, 2, tg) == expected
+        assert interpolation_norm(es, f, 0.5, 2) == expected
 
     def test_rejects_bad_theta(self, circle512_es_1024, rng):
         es = circle512_es_1024
         f = random_band(es, rng, 5)
         with pytest.raises(ValueError):
-            interpolation_norm(es, f, 1.5, 2.0, 2, np.geomspace(0.01, 1, 10))
+            interpolation_norm(es, f, 1.5, 2)

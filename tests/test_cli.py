@@ -60,7 +60,9 @@ class TestConfig:
     @pytest.mark.parametrize("flag, value", [
         ("--p", "nan"), ("--p", "2,nan"), ("--p", "0.5"),
         ("--q", "nan"), ("--q", "0"),
-        ("--alpha", "nan"), ("--alpha", "-1"), ("--alpha", "inf")])
+        ("--alpha", "nan"), ("--alpha", "-1"), ("--alpha", "inf"),
+        ("--p", "2,2"), ("--p", "inf,1,infinity"), ("--q", "1,2.0,1"),
+        ("--alpha", "0.5,0.50")])
     def test_bad_grid_value_is_config_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "o"
         code = run_cli(["besov", "--nodes", "128", "--jmax", "2", flag, value,
@@ -178,6 +180,16 @@ class TestAbort:
         assert prefixes == {"spectrum", "filters"}
         assert all(a["passed"] for a in report["assertions"])
         assert str(exc) in capsys.readouterr().err
+
+    def test_band_below_every_bernstein_cutoff_is_config_error(self, tmp_path,
+                                                                 capsys):
+        out = tmp_path / "o"
+        assert run_cli(["bernstein", "--band", "2", "--out", str(out)]) == 2
+        assert ("error: band 2 too small for a bernstein sweep"
+                in capsys.readouterr().err)
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is False
+        assert report["aborted"]["experiment"] == "bernstein"
 
     def test_complete_run_has_no_aborted_entry(self, tmp_path):
         out = tmp_path / "o"

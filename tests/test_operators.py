@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from besovlab.cli import write_table
-from besovlab.filters import FilterFamily
+from besovlab.filters import F, f_j, h
 from besovlab.manifold import GridFunction, build_circle
 from besovlab.operators import (KernelMatrix, apply_filter, apply_kernel,
                                 build_kernel, fit_decay_constant,
                                 kernel_alpha_norms, operator_norm_estimate,
                                 weighted_decay_integral, young_apply_check)
 from besovlab.spectrum import CoefVector, build_eigensystem, synthesize
-
-FAM = FilterFamily()
 
 
 def random_bandlimited(es, rng, count):
@@ -25,13 +23,13 @@ class TestApplyFilter:
         es = circle512_es_1024
         f = random_bandlimited(es, rng, es.n_eigen)
         t = 1.0 / np.sqrt(es.band_limit)
-        out = apply_filter(es, FAM.h, t, f)
+        out = apply_filter(es, h, t, f)
         assert np.abs(out.values - f.values).max() < 1e-10
 
     def test_band_filter_kills_constant(self, circle512_es_1024):
         es = circle512_es_1024
         f = GridFunction(es.model, np.ones(es.model.n_nodes))
-        out = apply_filter(es, FAM.F, 0.5, f)
+        out = apply_filter(es, F, 0.5, f)
         assert np.abs(out.values).max() < 1e-12
 
     def test_dyadic_block_scales_single_mode(self, circle512_es_1024):
@@ -40,15 +38,15 @@ class TestApplyFilter:
         l = es.index_of(("cos", 1))  # lambda = 1
         t = np.sqrt(32.0)
         f = GridFunction(es.model, es.eigenfunctions[:, l].copy())
-        out = apply_filter(es, lambda lam: FAM.f_j(2, lam), t, f)
-        expected = FAM.F(8.0) * f.values
+        out = apply_filter(es, lambda lam: f_j(2, lam), t, f)
+        expected = F(8.0) * f.values
         assert np.abs(out.values - expected).max() < 1e-12
 
     def test_rejects_nonpositive_t(self, circle512_es_1024):
         es = circle512_es_1024
         f = GridFunction(es.model, np.ones(es.model.n_nodes))
         with pytest.raises(ValueError):
-            apply_filter(es, FAM.F, 0.0, f)
+            apply_filter(es, F, 0.0, f)
 
 
 class TestBuildKernel:
@@ -66,15 +64,15 @@ class TestBuildKernel:
         assert np.all(k.matrix == 0.0)
 
     def test_symmetry(self, circle512_es_1024):
-        k = build_kernel(circle512_es_1024, FAM.F, 0.25)
+        k = build_kernel(circle512_es_1024, F, 0.25)
         assert np.abs(k.matrix - k.matrix.T).max() < 1e-10
 
     def test_quadrature_route_matches_spectral_route(self, circle512_es_1024, rng):
         es = circle512_es_1024
-        k = build_kernel(es, FAM.F, 0.25)
+        k = build_kernel(es, F, 0.25)
         for _ in range(5):
             f = random_bandlimited(es, rng, es.n_eigen)
-            via_coeffs = apply_filter(es, FAM.F, 0.25, f)
+            via_coeffs = apply_filter(es, F, 0.25, f)
             via_kernel = apply_kernel(k, f)
             assert np.abs(via_coeffs.values - via_kernel.values).max() < 1e-10
 
@@ -86,7 +84,7 @@ class TestAlphaNorms:
         assert kernel_alpha_norms(k, 1.0) == (0.0, 0.0)
 
     def test_symmetric_row_equals_column(self, circle512_es_1024):
-        k = build_kernel(circle512_es_1024, FAM.F, 0.25)
+        k = build_kernel(circle512_es_1024, F, 0.25)
         row, col = kernel_alpha_norms(k, 3.0)
         assert row == pytest.approx(col, abs=1e-12)
 
@@ -94,12 +92,12 @@ class TestAlphaNorms:
         # Schur alpha=1 bound with alpha' = inf carries no power of t;
         # recorded value from the frozen filter family
         es = build_eigensystem(circle512, 65025.0)
-        k = build_kernel(es, FAM.F, 0.25)
+        k = build_kernel(es, F, 0.25)
         row, _ = kernel_alpha_norms(k, 1.0)
         assert row == pytest.approx(1.5914196287866385, rel=1e-10)
 
     def test_rejects_alpha_below_one(self, circle512_es_1024):
-        k = build_kernel(circle512_es_1024, FAM.F, 0.25)
+        k = build_kernel(circle512_es_1024, F, 0.25)
         with pytest.raises(ValueError):
             kernel_alpha_norms(k, 0.5)
 
@@ -134,7 +132,7 @@ class TestYoung:
 
     def test_rejects_bad_exponents(self, circle512_es_1024):
         es = circle512_es_1024
-        k = build_kernel(es, FAM.F, 0.25)
+        k = build_kernel(es, F, 0.25)
         f = GridFunction(es.model, np.ones(512))
         with pytest.raises(ValueError):
             young_apply_check(k, f, 2.0, 3.0, 2.0)
@@ -142,7 +140,7 @@ class TestYoung:
 
 class TestModelMatch:
     def test_function_from_another_model_rejected(self, circle512_es_1024):
-        k = build_kernel(circle512_es_1024, FAM.F, 0.25)
+        k = build_kernel(circle512_es_1024, F, 0.25)
         f = GridFunction(build_circle(512), np.ones(512))
         with pytest.raises(ValueError, match="share a model"):
             apply_kernel(k, f)
@@ -154,18 +152,23 @@ class TestDecayFit:
     def test_zero_kernel(self, circle512_es_1024):
         es = circle512_es_1024
         k = KernelMatrix(es.model, np.zeros((512, 512)), 0.25)
-        fit = fit_decay_constant(k, 3.0)
+        fit = fit_decay_constant(k)
         assert fit.C == 0.0
 
-    def test_larger_exponent_grows_constant(self, circle512_es_1024):
-        k = build_kernel(circle512_es_1024, FAM.F, 0.25)
-        c3 = fit_decay_constant(k, 3.0).C
-        c6 = fit_decay_constant(k, 6.0).C
-        assert c6 >= c3
+    @pytest.mark.parametrize("fixture", ["circle512_es_1024", "sphere16_es",
+                                         "icosphere3_es"])
+    def test_exponent_is_dimension_plus_two(self, request, fixture):
+        # the kernel fit and the volume bound share N = n + 2
+        es = request.getfixturevalue(fixture)
+        model, t = es.model, 0.5
+        assert fit_decay_constant(build_kernel(es, F, t)).N == model.dim + 2
+        d = model.distance_matrix()
+        vals = ((1.0 + d / t) ** -(model.dim + 2.0)) @ model.weights
+        assert weighted_decay_integral(model, t) == vals.max() * t ** -model.dim
 
     def test_bound_holds_everywhere(self, circle512_es_1024):
-        k = build_kernel(circle512_es_1024, FAM.F, 0.25)
-        fit = fit_decay_constant(k, 3.0)
+        k = build_kernel(circle512_es_1024, F, 0.25)
+        fit = fit_decay_constant(k)
         d = circle512_es_1024.model.distance_matrix()
         slack = fit.C * 0.25 ** -1 * (1.0 + d / 0.25) ** -3.0 - np.abs(k.matrix)
         assert slack.min() >= -1e-12 * fit.C
@@ -174,8 +177,8 @@ class TestDecayFit:
     def test_fits_at_the_kernel_scale(self, circle512_es_1024, t):
         # the envelope is C t^-n (1 + d/t)^-N at the kernel's own t, and the
         # minimal C makes it touch |K| somewhere
-        k = build_kernel(circle512_es_1024, FAM.F, t)
-        fit = fit_decay_constant(k, 3.0)
+        k = build_kernel(circle512_es_1024, F, t)
+        fit = fit_decay_constant(k)
         assert fit.t == k.t == t
         d = circle512_es_1024.model.distance_matrix()
         slack = fit.C * t ** -1 * (1.0 + d / t) ** -3.0 - np.abs(k.matrix)
@@ -186,18 +189,13 @@ class TestDecayFit:
         cs = []
         for j in range(2, 7):
             t = 2.0 ** (-j)
-            k = build_kernel(es, FAM.F, t)
-            cs.append(fit_decay_constant(k, 3.0).C)
+            k = build_kernel(es, F, t)
+            cs.append(fit_decay_constant(k).C)
         assert max(cs) / min(cs) < 4.0
 
-    def test_rejects_small_exponent(self, circle512_es_1024):
-        k = build_kernel(circle512_es_1024, FAM.F, 0.25)
-        with pytest.raises(ValueError):
-            fit_decay_constant(k, 1.0)
-
     def test_csv_export(self, tmp_path, circle512_es_1024):
-        k = build_kernel(circle512_es_1024, FAM.F, 0.25)
-        fit = fit_decay_constant(k, 3.0)
+        k = build_kernel(circle512_es_1024, F, 0.25)
+        fit = fit_decay_constant(k)
         write_table(str(tmp_path), "decay", ["t", "N", "C", "max_abs_K", "runtime_ms"],
                     [[fit.t, fit.N, fit.C, fit.max_abs_kernel, 12.0]])
         lines = (tmp_path / "decay.csv").read_text().strip().splitlines()
@@ -207,39 +205,39 @@ class TestDecayFit:
 
 class TestVolumeEstimate:
     def test_circle_uniform_over_scales(self, circle512):
-        vals = [weighted_decay_integral(circle512, 2.0 ** (-j), 3.0)
+        vals = [weighted_decay_integral(circle512, 2.0 ** (-j))
                 for j in range(1, 7)]
         assert max(vals) / min(vals) < 8.0
 
     def test_sphere_uniform_at_resolved_scales(self, sphere16):
         # scales below the node spacing are not resolvable at desk scale
-        vals = [weighted_decay_integral(sphere16, 2.0 ** (-j), 4.0)
+        vals = [weighted_decay_integral(sphere16, 2.0 ** (-j))
                 for j in range(1, 4)]
         assert max(vals) / min(vals) < 8.0
 
 
 class TestOperatorNormEstimate:
     def test_contraction_for_bounded_multiplier(self, circle512_es_1024):
-        est = operator_norm_estimate(circle512_es_1024, FAM.F, 0.25, 2.0, 2.0,
+        est = operator_norm_estimate(circle512_es_1024, F, 0.25, 2.0,
                                      trials=24, seed=5)
         assert est <= 1.0 + 1e-12
 
     def test_zero_multiplier(self, circle512_es_1024):
         est = operator_norm_estimate(circle512_es_1024, lambda lam: 0.0 * lam,
-                                     0.25, 2.0, 2.0, trials=8, seed=5)
+                                     0.25, 2.0, trials=8, seed=5)
         assert est == 0.0
 
     def test_deterministic_given_seed(self, circle512_es_1024):
-        a = operator_norm_estimate(circle512_es_1024, FAM.F, 0.25, 1.0, 1.0,
+        a = operator_norm_estimate(circle512_es_1024, F, 0.25, 1.0,
                                    trials=16, seed=11)
-        b = operator_norm_estimate(circle512_es_1024, FAM.F, 0.25, 1.0, 1.0,
+        b = operator_norm_estimate(circle512_es_1024, F, 0.25, 1.0,
                                    trials=16, seed=11)
         assert a == b
 
     @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
     def test_no_growth_across_scales(self, circle512, p):
         es = build_eigensystem(circle512, 65025.0)
-        ests = [operator_norm_estimate(es, FAM.F, 2.0 ** (-j), p, p,
+        ests = [operator_norm_estimate(es, F, 2.0 ** (-j), p,
                                        trials=24, seed=99)
                 for j in range(1, 7)]
         assert max(ests) / min(ests) < 2.0
