@@ -79,9 +79,9 @@ def a_norm(eigsys: EigenSystem, f: GridFunction, params: BesovParams,
 class ErrorCache:
     """Memo for the per-function quantities behind the Besov-type norms.
 
-    Keys on a function's model object (models compare by identity), a
-    digest of its sample values, p and ``at``. There are three kinds of
-    entry:
+    Keys on the eigensystem the quantity was computed in and the function's
+    model (both compare by identity), a digest of its sample values, p and
+    ``at``. There are three kinds of entry:
 
     - a cutoff entry, ``at`` a cutoff omega: the best-approximation result
       for E(f, omega, p);
@@ -92,25 +92,27 @@ class ErrorCache:
       ``LP_BLOCKS`` the tuple of block functions F_j(L)f that every p reads.
 
     A string ``at`` never equals a cutoff, and p = ``None`` never equals a
-    float p, so the kinds cannot answer for one another. A function rebuilt
-    with the same samples hits the entries of the first copy, and no
-    function is referenced; the models of the stored entries are.
+    float p, so the kinds cannot answer for one another; nor can two
+    eigensystems of one model, whose band checks and blocks differ. A
+    function rebuilt with the same samples hits the entries of the first
+    copy, and no function is referenced; the eigensystems and models of the
+    stored entries are.
     """
 
     def __init__(self):
         self._vals: dict = {}
 
     @staticmethod
-    def _key(f, p, at):
+    def _key(eigsys, f, p, at):
         vals = f.values
         digest = hashlib.sha256(vals.dtype.str.encode() + vals.tobytes()).digest()
-        return f.model, digest, None if p is None else float(p), at
+        return eigsys, f.model, digest, None if p is None else float(p), at
 
-    def lookup(self, f, p, at):
-        return self._vals.get(self._key(f, p, at))
+    def lookup(self, eigsys, f, p, at):
+        return self._vals.get(self._key(eigsys, f, p, at))
 
-    def store(self, f, p, at, value):
-        self._vals[self._key(f, p, at)] = value
+    def store(self, eigsys, f, p, at, value):
+        self._vals[self._key(eigsys, f, p, at)] = value
 
 
 def errors_at_cutoffs(eigsys: EigenSystem, f: GridFunction, p: float,
@@ -123,10 +125,10 @@ def errors_at_cutoffs(eigsys: EigenSystem, f: GridFunction, p: float,
     cache = ErrorCache() if cache is None else cache
     out = []
     for omega in cutoffs:
-        res = cache.lookup(f, p, omega)
+        res = cache.lookup(eigsys, f, p, omega)
         if res is None:
             res = best_approx(eigsys.model, eigsys, f, omega, p)
-            cache.store(f, p, omega, res)
+            cache.store(eigsys, f, p, omega, res)
         out.append(res)
     return out
 
@@ -168,13 +170,13 @@ def _band_check(eigsys, f, cache):
     relative ``BAND_TOL`` (max-norm residual against max |f|); computed once
     per ``cache``."""
     cache = ErrorCache() if cache is None else cache
-    check = cache.lookup(f, None, BAND_CHECK)
+    check = cache.lookup(eigsys, f, None, BAND_CHECK)
     if check is None:
         c = project(eigsys, f)
         resid = f.values - synthesize(eigsys, c).values
         scale = max(float(np.abs(f.values).max()), 1e-300)
         check = c, float(np.abs(resid).max()) <= BAND_TOL * scale
-        cache.store(f, None, BAND_CHECK, check)
+        cache.store(eigsys, f, None, BAND_CHECK, check)
     return check
 
 
@@ -214,9 +216,9 @@ def lp_comparator_norm(eigsys: EigenSystem, f: GridFunction,
     """
     cache = ErrorCache() if cache is None else cache
     model = eigsys.model
-    norms = cache.lookup(f, params.p, LP_BLOCKS)
+    norms = cache.lookup(eigsys, f, params.p, LP_BLOCKS)
     if norms is None:
-        blocks = cache.lookup(f, None, LP_BLOCKS)
+        blocks = cache.lookup(eigsys, f, None, LP_BLOCKS)
         if blocks is None:
             lam, u = eigsys.eigenvalues, eigsys.eigenfunctions
             c = _band_check(eigsys, f, cache)[0].coefficients
@@ -225,9 +227,9 @@ def lp_comparator_norm(eigsys: EigenSystem, f: GridFunction,
                 j_max += 1
             blocks = tuple(GridFunction(model, u @ (c * f_j(j, lam)))
                            for j in range(j_max))
-            cache.store(f, None, LP_BLOCKS, blocks)
+            cache.store(eigsys, f, None, LP_BLOCKS, blocks)
         norms = tuple(lp_norm(model, g, params.p) for g in blocks)
-        cache.store(f, params.p, LP_BLOCKS, norms)
+        cache.store(eigsys, f, params.p, LP_BLOCKS, norms)
     terms = [2.0 ** (params.alpha * j) * norms[j] for j in range(1, len(norms))]
     return norms[0] + _q_sum(np.array(terms), params.q)
 

@@ -27,16 +27,16 @@ Both linear programs run HiGHS's dual simplex (Huangfu & Hall 2018), whose
 bounded dual handles a two-sided row as one row with a boxed logical, through
 the HiGHS binding that scipy vendors (scipy.optimize._highspy), without
 presolve, which finds nothing to remove in these dense programs; the
-p = inf program prices by Dantzig's rule rather than dual steepest edge. On
-the 1024-node circle sweep of the benchmark (12 solves per p, 36 Newton
-solves, the minimum of 5 in-process passes, a 2-core Xeon, BLAS at one
-thread) this took the p = inf solves from 0.49-0.52 to 0.19-0.25 s, the
-p = 1 solves from 0.16-0.20 to 0.11-0.12 s and the Newton solves from
-0.25-0.29 to 0.19-0.25 s, against scipy's generic LP front end on 2n
-one-sided rows and scipy.linalg.lstsq, with p = inf errors that agree to
-2e-13 relative and the same p = 1 and Newton results. For p != 2, a
-function the span already resolves (projection error at most
-LP_TOL ||f||_p) gets the projection with lower bound 0 and no solve.
+p = inf program prices by Dantzig's rule rather than dual steepest edge.
+The binding is called directly because scipy's generic LP front end
+(linprog) takes only one-sided inequality rows, so the p = inf program would
+need two rows per node, and it validates and converts the dense arrays on
+every call, while passModel reads the numpy buffers as they are.
+
+Every gap test of a solve uses one tolerance, tol = max(LP_TOL ||f||_p,
+the smallest normal float); the floor keeps it from underflowing for a
+subnormal f. For p != 2, a function the span already resolves (projection
+error at most tol) gets the projection with lower bound 0 and no solve.
 
 Every solve is certified by Hahn-Banach duality for best approximation from
 a subspace (Singer 1970): for any g with U^T(w g) = 0,
@@ -51,7 +51,7 @@ coefficients. ``error`` is the L_p error of a coefficient vector held in
 hand, so it is attained, and the best error lies in [lower_bound, error] up
 to roundoff (the two can cross by roundoff when the gap closes). Every
 solver is held to one rule, ``converged`` means
-|error - lower_bound| <= LP_TOL ||f||_p; the Newton solver stops as soon as
+|error - lower_bound| <= tol; the Newton solver stops as soon as
 that holds, when no step lowers the error, or after IRLS_MAX_ITER
 iterations. A failed HiGHS solve raises ``RuntimeError``.
 """
@@ -79,7 +79,8 @@ class ApproxResult:
     ``error`` is the L_p error of ``coefficients``; ``lower_bound`` is the
     dual bound of the solver (see the module docstring), a lower bound on the
     best error up to roundoff. ``converged`` means that
-    ``|error - lower_bound|`` is at most ``LP_TOL * ||f||_p``;
+    ``|error - lower_bound|`` is at most ``LP_TOL * ||f||_p`` (floored at
+    the smallest normal float);
     ``iterations`` counts Newton iterations or HiGHS iterations, and is 0
     for the projection.
     """
@@ -116,12 +117,14 @@ def best_approx(model: ManifoldModel, eigsys: EigenSystem, f: GridFunction,
     c0 = u.T @ (w * f.values)
     r0 = f.values - u @ c0
     err0 = _weighted_norm(w, r0, p)
-    scale = _weighted_norm(w, f.values, p)  # the yardstick of every gap test
+    # the gap tolerance of every test; the floor keeps it from underflowing
+    # for a subnormal f
+    tol = max(LP_TOL * _weighted_norm(w, f.values, p), np.finfo(float).tiny)
 
     if p == 2:
         solver, c, err, lower, iters = (
             "projection", c0, err0, _dual_bound(u, w, r0, r0, 2.0), 0)
-    elif err0 <= LP_TOL * scale:
+    elif err0 <= tol:
         # the span resolves f to the tolerance of every gap test, so the
         # trivial bound 0 already certifies the projection
         solver, c, err, lower, iters = "projection", c0, err0, 0.0, 0
@@ -130,12 +133,11 @@ def best_approx(model: ManifoldModel, eigsys: EigenSystem, f: GridFunction,
         c, err, lower, iters = _solve_lp(u, w, f.values, c0, r0, err0, p)
     else:
         solver = "irls"
-        c, err, lower, iters = _solve_irls(u, w, f.values, c0, r0, err0,
-                                           scale, p)
+        c, err, lower, iters = _solve_irls(u, w, f.values, c0, r0, err0, tol, p)
     return ApproxResult(omega=float(omega), p=float(p), error=err,
                         coefficients=CoefVector(c), solver=solver,
                         lower_bound=lower, iterations=iters,
-                        converged=abs(err - lower) <= LP_TOL * scale)
+                        converged=abs(err - lower) <= tol)
 
 
 def _dual_bound(u, w, r, g, p):
@@ -154,7 +156,7 @@ def _dual_bound(u, w, r, g, p):
     return abs(float(w @ (r * g))) / gnorm if gnorm > 0.0 else 0.0
 
 
-def _solve_irls(u, w, fvals, c0, r0, err0, scale, p):
+def _solve_irls(u, w, fvals, c0, r0, err0, tol, p):
     n, k = u.shape
     tiny = np.finfo(float).tiny
     # LAPACK's gelsy called directly, with rcond = eps as in
@@ -183,7 +185,7 @@ def _solve_irls(u, w, fvals, c0, r0, err0, scale, p):
         z = x[:k]
         # g = h - d (Uz) has U^T(w g) = U^T(w h) - H z = 0
         lower = max(lower, _dual_bound(u, w, r, d * (s - u @ z), p))
-        if err - lower <= LP_TOL * scale:
+        if err - lower <= tol:
             break
         # the Newton step first, halved until the error drops and then
         # while it keeps dropping
@@ -210,8 +212,8 @@ def _solve_lp(u, w, fvals, c0, r0, err0, p):
         # row per node: U y + t f / ||f||_inf = (t / ||f||_inf)(f - U c)
         # for c = -(||f||_inf / t) y, so the best error is ||f||_inf / t.
         # t = 1 is feasible with y = 0; the cap 1 / LP_TOL keeps the program
-        # bounded when f / ||f||_inf lies in the span although the projection
-        # residual of f did not pass the resolved test (a subnormal f)
+        # bounded should f / ||f||_inf lie in the span although the
+        # projection residual of f did not pass the resolved test
         fmax = float(np.abs(fvals).max())
         cost = np.zeros(k + 1)
         cost[-1] = -1.0

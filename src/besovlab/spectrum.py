@@ -33,9 +33,11 @@ from .manifold import GridFunction, ManifoldModel
 from .mesh import cotangent_stiffness
 
 
-@dataclass
+@dataclass(eq=False)
 class EigenSystem:
     """Sampled orthonormal eigenbasis of the operator, eigenvalues ascending.
+
+    Eigensystems compare and hash by identity, so one can key a cache.
 
     ``eigenfunctions`` has one column per eigenfunction and is held in row
     (C) order, whatever the builder's layout, so that every product with it

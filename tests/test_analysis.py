@@ -119,18 +119,19 @@ class TestReadersThroughACache:
         is_bandlimited(es, f, cache)
         lp_comparator_norm(es, f, BesovParams(alpha=1.0, p=2.0, q=2.0, J=1),
                            cache=cache)
-        check, blocks = cache.lookup(f, None, BAND_CHECK), cache.lookup(f, None, LP_BLOCKS)
+        check = cache.lookup(es, f, None, BAND_CHECK)
+        blocks = cache.lookup(es, f, None, LP_BLOCKS)
         assert check[1] is True and len(blocks) > 1
         for p in (1.0, 2.0, 4.0, np.inf):
             for omega in (1.0, 4.0, 16.0):
-                assert cache.lookup(f, p, omega) is None
+                assert cache.lookup(es, f, p, omega) is None
             if p != 2.0:
-                assert cache.lookup(f, p, LP_BLOCKS) is None
-        assert cache.lookup(f, None, 4.0) is None
+                assert cache.lookup(es, f, p, LP_BLOCKS) is None
+        assert cache.lookup(es, f, None, 4.0) is None
         # a rebuilt copy hits both entries and projects nothing
         again = GridFunction(es.model, f.values.copy())
-        assert cache.lookup(again, None, BAND_CHECK) is check
-        assert cache.lookup(again, None, LP_BLOCKS) is blocks
+        assert cache.lookup(es, again, None, BAND_CHECK) is check
+        assert cache.lookup(es, again, None, LP_BLOCKS) is blocks
         monkeypatch.setattr(analysis, "project", None)
         assert is_bandlimited(es, again, cache)
         lp_comparator_norm(es, again, BesovParams(alpha=1.0, p=4.0, q=2.0, J=1),
@@ -215,21 +216,36 @@ class TestErrorCache:
         results = errors_at_cutoffs(es, f, 1.0, [1.0, 4.0], cache)
         again = lacunary(1.0, 4).build(es.model, es)
         assert again is not f
-        assert all(cache.lookup(again, 1.0, w) is r
+        assert all(cache.lookup(es, again, 1.0, w) is r
                    for w, r in zip((1.0, 4.0), results))
 
     def test_different_values_or_model_miss(self, circle512_es_1024):
         es = circle512_es_1024
         cache = ErrorCache()
         f = lacunary(1.0, 4).build(es.model, es)
-        cache.store(f, 1.0, 4.0, 0.5)
+        cache.store(es, f, 1.0, 4.0, 0.5)
         shifted = GridFunction(es.model, f.values + 1e-12)
-        assert cache.lookup(shifted, 1.0, 4.0) is None
+        assert cache.lookup(es, shifted, 1.0, 4.0) is None
         other = build_circle(es.model.n_nodes)
-        assert cache.lookup(GridFunction(other, f.values.copy()), 1.0, 4.0) is None
-        assert cache.lookup(f, 2.0, 4.0) is None
-        assert cache.lookup(f, 1.0, 16.0) is None
-        assert cache.lookup(f, 1.0, 4.0) == 0.5
+        assert cache.lookup(es, GridFunction(other, f.values.copy()), 1.0, 4.0) is None
+        assert cache.lookup(es, f, 2.0, 4.0) is None
+        assert cache.lookup(es, f, 1.0, 16.0) is None
+        assert cache.lookup(es, f, 1.0, 4.0) == 0.5
+
+    def test_eigensystems_of_one_model_do_not_share_entries(self):
+        # lacunary(1, 4) reaches lambda = 256: inside band 1000, beyond band 100
+        model = build_circle(256)
+        es_big, es_small = build_eigensystem(model, 1000.0), build_eigensystem(model, 100.0)
+        f = lacunary(1.0, 4).build(model, es_big)
+        cache = ErrorCache()
+        assert is_bandlimited(es_big, f, cache)
+        assert not is_bandlimited(es_small, f, cache)
+        with pytest.raises(ValueError, match="not bandlimited"):
+            jackson_ratios(es_small, f, 2, 2.0, 3, cache=cache)
+        g = lacunary(1.0, 3).build(model, es_big)   # lambda <= 64, in both bands
+        fresh = jackson_ratios(es_small, g, 2, 2.0, 3)
+        assert jackson_ratios(es_big, g, 2, 2.0, 3, cache=cache) == fresh
+        assert jackson_ratios(es_small, g, 2, 2.0, 3, cache=cache) == fresh
 
     def test_does_not_pin_functions(self, circle512_es_1024):
         es = circle512_es_1024
@@ -241,7 +257,7 @@ class TestErrorCache:
         del f
         gc.collect()
         assert ref() is None
-        assert cache.lookup(GridFunction(es.model, values), 2.0, 4.0) is not None
+        assert cache.lookup(es, GridFunction(es.model, values), 2.0, 4.0) is not None
 
 
 class TestComparatorNorm:
@@ -311,9 +327,9 @@ class TestComparatorNorm:
         assert a >= lp_norm(es.model, f, 2.0)
         assert a_norm(es, f, params) == a
         assert lp_comparator_norm(es, f, params, cache=cache) == comp
-        blocks = cache.lookup(f, 2.0, LP_BLOCKS)
+        blocks = cache.lookup(es, f, 2.0, LP_BLOCKS)
         assert isinstance(blocks, tuple) and len(blocks) > 1
-        assert cache.lookup(f, 2.0, 1.0).omega == 1.0
+        assert cache.lookup(es, f, 2.0, 1.0).omega == 1.0
 
 
 class TestJacksonRatios:

@@ -466,9 +466,8 @@ def circle256_es():
 @given(coefs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64),
        levels=st.lists(st.integers(0, 4), min_size=2, max_size=4, unique=True),
        p=st.one_of(st.floats(1.0, 20.0), st.just(np.inf)))
-# a subnormal function: its projection residual is not below LP_TOL ||f||,
-# while f / ||f||_inf lies in the span, so the p = inf program is unbounded
-# without its cap on t
+# a subnormal function: LP_TOL ||f|| falls below the roundoff of its
+# projection residual, while f / ||f||_inf lies in the span
 @example(coefs=[2.2250738585e-313], levels=[0, 1], p=np.inf)
 def test_certificate_properties(circle256_es, coefs, levels, p):
     # every solver returns an interval [lower_bound, error] that holds the
@@ -479,6 +478,7 @@ def test_certificate_properties(circle256_es, coefs, levels, p):
     f = synthesize(es, CoefVector(c))
     fnorm = lp_norm(es.model, f, p)
     slack = 1e-12 * max(fnorm, 1e-300)
+    tol = max(LP_TOL * fnorm, np.finfo(float).tiny)
     prev = None
     for omega in sorted(4.0 ** j for j in levels):
         res = best_approx(es.model, es, f, omega, p)
@@ -489,14 +489,26 @@ def test_certificate_properties(circle256_es, coefs, levels, p):
                                     GridFunction(es.model, f.values - proj), p)
         assert res.lower_bound <= res.error + slack
         assert res.error <= fnorm + slack
-        assert res.converged == (res.error - res.lower_bound <= LP_TOL * fnorm)
+        assert res.converged == (res.error - res.lower_bound <= tol)
         if prev is not None:
             assert res.lower_bound <= prev.error + slack
-            # a closed gap puts the error within LP_TOL ||f|| of the best
-            # error, which is at most the best error at the coarser cutoff
+            # a closed gap puts the error within tol of the best error,
+            # which is at most the best error at the coarser cutoff
             if res.converged:
-                assert res.error <= prev.error + LP_TOL * fnorm
+                assert res.error <= prev.error + tol
         prev = res
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, np.inf])
+def test_subnormal_function_converges(p):
+    # LP_TOL ||f|| underflows below the roundoff of the projection residual;
+    # the gap tolerance is floored at the smallest normal float
+    es = build_eigensystem(build_circle(256), 100.0)
+    f = GridFunction(es.model, 2.2250738585e-313 * es.eigenfunctions[:, 0])
+    for omega in (1.0, 4.0):
+        res = best_approx(es.model, es, f, omega, p)
+        assert res.converged
+        assert res.error <= np.finfo(float).tiny
 
 
 class TestCertifiedNewton:

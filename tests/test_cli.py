@@ -36,14 +36,50 @@ class TestConfig:
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("nodes = 128\nseed = 7\n")
-        import argparse
-        ns = argparse.Namespace(config=str(cfg), manifold=None, nodes=256,
-                                band=None, mesh=None, alpha=None, p=None,
-                                q=None, k=None, jmax=None, seed=None,
-                                trials=None, out=None)
+        ns = cli.build_parser().parse_args(["approx", "--config", str(cfg),
+                                            "--nodes", "256"])
         resolved = resolve_config(ns)
         assert resolved["nodes"] == 256   # flag wins
         assert resolved["seed"] == 7      # config wins over default
+
+    # one text per setting, and the value it reads as
+    READS = {"manifold": ("sphere2", "sphere2"), "nodes": ("128", 128),
+             "band": ("1e3", 1000.0), "mesh": ("shape.off", "shape.off"),
+             "alpha": ("0.5, 1.5", [0.5, 1.5]), "p": ("1,INF", [1.0, float("inf")]),
+             "q": ("2, infinity,", [2.0, float("inf")]), "k": ("3", 3),
+             "jmax": ("2", 2), "seed": ("0", 0), "trials": ("5", 5),
+             "out": ("results", "results")}
+
+    @pytest.mark.parametrize("key", list(cli.OPTIONS))
+    def test_flag_and_config_line_read_alike(self, tmp_path, key):
+        text, value = self.READS[key]
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"{key} = {text}\n")
+        parser = cli.build_parser()
+        from_file = resolve_config(parser.parse_args(["approx", "--config", str(path)]))
+        from_flag = resolve_config(parser.parse_args(["approx", f"--{key}", text]))
+        assert from_flag == from_file
+        assert from_flag[key] == value and type(from_flag[key]) is type(value)
+
+    @pytest.mark.parametrize("key, text, message", [
+        ("nodes", "abc", "cannot read nodes = 'abc'"),
+        ("k", "2.5", "cannot read k = '2.5'"),
+        ("band", "wide", "cannot read band = 'wide'"),
+        ("p", "1,x", "cannot read p = '1,x'"),
+        ("manifold", "cube", "unknown manifold 'cube'")])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_unreadable_value_is_config_error(self, tmp_path, capsys, key, text,
+                                              message, source):
+        out = tmp_path / "o"
+        if source == "flag":
+            args = [f"--{key}", text]
+        else:
+            path = tmp_path / "exp.cfg"
+            path.write_text(f"{key} = {text}\n")
+            args = ["--config", str(path)]
+        assert run_cli(["spectrum"] + args + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_missing_mesh_is_config_error(self, tmp_path):
         code = run_cli(["spectrum", "--manifold", "mesh", "--out",
@@ -190,6 +226,18 @@ class TestAbort:
         report = json.loads((out / "report.json").read_text())
         assert report["passed"] is False
         assert report["aborted"]["experiment"] == "bernstein"
+
+    def test_band_under_two_bernstein_cutoffs_is_config_error(self, tmp_path,
+                                                               capsys):
+        # one cutoff would compare each worst ratio with itself
+        out = tmp_path / "o"
+        assert run_cli(["bernstein", "--band", "10", "--out", str(out)]) == 2
+        assert ("error: band 10 too small for a bernstein sweep"
+                in capsys.readouterr().err)
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is False
+        assert report["aborted"]["experiment"] == "bernstein"
+        assert report["assertions"] == []
 
     def test_complete_run_has_no_aborted_entry(self, tmp_path):
         out = tmp_path / "o"

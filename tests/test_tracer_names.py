@@ -2,8 +2,10 @@
 
 The tracer in ``perfbench/tracer.py`` wraps the public functions of each
 layer module and a few methods, and reports per-layer metrics by span name.
-A traced function that is deleted or renamed leaves no span, so its metric
-would read 0 without any error; these tests fail instead.
+A traced function that is deleted or renamed leaves no span, and one the CLI
+calls through a reference held elsewhere (a table of builders) is never
+wrapped; either way its metric would read 0 without any error. These tests
+fail instead.
 """
 
 import importlib
@@ -12,6 +14,8 @@ import inspect
 import os
 
 import pytest
+
+from besovlab import cli
 
 _PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "perfbench", "tracer.py")
@@ -40,3 +44,21 @@ def test_method_span_names_a_method(span):
     layer, cls_name, meth = METHOD_SPANS[span]
     cls = getattr(importlib.import_module(f"besovlab.{layer}"), cls_name)
     assert inspect.isfunction(cls.__dict__.get(meth))
+
+
+@pytest.mark.parametrize("args, span", [
+    (["approx", "--nodes", "66", "--jmax", "2", "--p", "2"], "manifold.build_circle"),
+    (["spectrum", "--manifold", "mesh", "--band", "16"], "mesh.load_mesh")])
+def test_traced_run_records_the_builder(tmp_path, icosphere3_path, args, span):
+    if "mesh" in args:
+        args = args + ["--mesh", str(icosphere3_path)]
+    tr = tracer.Tracer("test")
+    tr.install()
+    try:
+        assert cli.main(args + ["--out", str(tmp_path)]) == 0
+    finally:
+        tr.uninstall()
+    spans = tr.to_json()["spans"]
+    hits = [i for i, s in enumerate(spans) if s[0] == span]
+    assert len(hits) == 1
+    assert "cli.build_model_and_eigsys" in tracer.ancestors(spans, hits[0])
