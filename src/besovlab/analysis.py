@@ -79,24 +79,24 @@ def a_norm(eigsys: EigenSystem, f: GridFunction, params: BesovParams,
 class ErrorCache:
     """Memo for the per-function quantities behind the Besov-type norms.
 
-    Keys on the eigensystem the quantity was computed in and the function's
-    model (both compare by identity), a digest of its sample values, p and
-    ``at``. There are three kinds of entry:
+    Every entry sits under one key ``(eigsys, model, digest, p, at)``: the
+    eigensystem it was computed in and f's model (both compare by identity),
+    a digest of f's sample values, the exponent p (``None`` for a quantity
+    that every p reads) and ``at``, which names the quantity:
 
-    - a cutoff entry, ``at`` a cutoff omega: the best-approximation result
-      for E(f, omega, p);
-    - a filter-bank entry, ``at`` = ``LP_BLOCKS``: the tuple of
-      Littlewood-Paley block norms ||F_j(L)f||_p;
-    - a per-function entry, p = ``None``: under ``BAND_CHECK`` the band check
-      of f (its eigencoefficients and whether they reproduce f), under
-      ``LP_BLOCKS`` the tuple of block functions F_j(L)f that every p reads.
+    - a cutoff omega, with p: the best-approximation result for E(f, omega, p);
+    - ``LP_BLOCKS``, with p: the tuple of block norms ||F_j(L)f||_p;
+    - ``LP_BLOCKS``, p = ``None``: the tuple of block functions F_j(L)f;
+    - ``BAND_CHECK``, p = ``None``: f's eigencoefficients and whether they
+      reproduce f;
+    - ``("k-grid", k)``, p = ``None``: K_2(f, t) on ``K_T_GRID`` for the
+      Sobolev order k.
 
-    A string ``at`` never equals a cutoff, and p = ``None`` never equals a
-    float p, so the kinds cannot answer for one another; nor can two
-    eigensystems of one model, whose band checks and blocks differ. A
-    function rebuilt with the same samples hits the entries of the first
-    copy, and no function is referenced; the eigensystems and models of the
-    stored entries are.
+    A string or tuple ``at`` never equals a cutoff, and p = ``None`` never
+    equals a float p, so no kind answers for another; nor do two eigensystems
+    of one model share an entry. A function rebuilt with the same samples
+    hits the entries of the first copy, and no function is referenced; the
+    eigensystems and models of the stored entries are.
     """
 
     def __init__(self):
@@ -109,28 +109,32 @@ class ErrorCache:
         return eigsys, f.model, digest, None if p is None else float(p), at
 
     def lookup(self, eigsys, f, p, at):
+        """The stored entry, or ``None``."""
         return self._vals.get(self._key(eigsys, f, p, at))
 
-    def store(self, eigsys, f, p, at, value):
-        self._vals[self._key(eigsys, f, p, at)] = value
+    def get(self, eigsys, f, p, at, compute):
+        """The stored entry; on a miss, ``compute()``, stored under the key."""
+        value = self.lookup(eigsys, f, p, at)
+        if value is None:
+            value = self._vals[self._key(eigsys, f, p, at)] = compute()
+        return value
+
+
+def _get(cache, eigsys, f, p, at, compute):
+    """``cache.get``; without a cache, ``compute()``."""
+    return compute() if cache is None else cache.get(eigsys, f, p, at, compute)
 
 
 def errors_at_cutoffs(eigsys: EigenSystem, f: GridFunction, p: float,
                       cutoffs, cache: ErrorCache | None = None) -> list[ApproxResult]:
     """The best-approximation result for E(f, omega, p) at each cutoff.
 
-    Each (f, p, omega) is solved once per ``cache``; without one, once per
-    call. A cutoff beyond the computed band raises ``ValueError``.
+    Each (f, p, omega) is solved once per ``cache``; without one, each
+    cutoff is solved. A cutoff beyond the computed band raises ``ValueError``.
     """
-    cache = ErrorCache() if cache is None else cache
-    out = []
-    for omega in cutoffs:
-        res = cache.lookup(eigsys, f, p, omega)
-        if res is None:
-            res = best_approx(eigsys.model, eigsys, f, omega, p)
-            cache.store(eigsys, f, p, omega, res)
-        out.append(res)
-    return out
+    return [_get(cache, eigsys, f, p, omega,
+                 lambda: best_approx(eigsys.model, eigsys, f, omega, p))
+            for omega in cutoffs]
 
 
 def a_norm_continuous(eigsys: EigenSystem, f: GridFunction, params: BesovParams,
@@ -169,37 +173,30 @@ def _band_check(eigsys, f, cache):
     """(c, ok): f's eigencoefficients, and whether they reproduce f to
     relative ``BAND_TOL`` (max-norm residual against max |f|); computed once
     per ``cache``."""
-    cache = ErrorCache() if cache is None else cache
-    check = cache.lookup(eigsys, f, None, BAND_CHECK)
-    if check is None:
+    def check():
         c = project(eigsys, f)
         resid = f.values - synthesize(eigsys, c).values
         scale = max(float(np.abs(f.values).max()), 1e-300)
-        check = c, float(np.abs(resid).max()) <= BAND_TOL * scale
-        cache.store(eigsys, f, None, BAND_CHECK, check)
-    return check
+        return c, float(np.abs(resid).max()) <= BAND_TOL * scale
+    return _get(cache, eigsys, f, None, BAND_CHECK, check)
 
 
 def bandlimited_coefficients(eigsys: EigenSystem, f: GridFunction,
-                             cache: ErrorCache | None = None) -> CoefVector | None:
-    """f's eigencoefficients, or None if they miss f by more than relative
-    ``BAND_TOL``. The check runs once per function per ``cache``."""
+                             cache: ErrorCache | None = None) -> CoefVector:
+    """f's eigencoefficients. Raises ``ValueError`` if they miss f by more
+    than relative ``BAND_TOL``. The check runs once per function per
+    ``cache``."""
     c, ok = _band_check(eigsys, f, cache)
-    return c if ok else None
+    if not ok:
+        raise ValueError("function is not bandlimited in this eigensystem")
+    return c
 
 
 def is_bandlimited(eigsys: EigenSystem, f: GridFunction,
                    cache: ErrorCache | None = None) -> bool:
     """Whether f is reproduced by its eigenexpansion to relative ``BAND_TOL``
     (max-norm residual against max |f|), checked once per ``cache``."""
-    return bandlimited_coefficients(eigsys, f, cache) is not None
-
-
-def _require_bandlimited(eigsys, f, cache=None):
-    c = bandlimited_coefficients(eigsys, f, cache)
-    if c is None:
-        raise ValueError("function is not bandlimited in this eigensystem")
-    return c
+    return _band_check(eigsys, f, cache)[1]
 
 
 def lp_comparator_norm(eigsys: EigenSystem, f: GridFunction,
@@ -214,22 +211,21 @@ def lp_comparator_norm(eigsys: EigenSystem, f: GridFunction,
     per function from the band check's coefficients, their norms are taken
     once per (f, p), and (alpha, q) only re-weight them.
     """
-    cache = ErrorCache() if cache is None else cache
     model = eigsys.model
-    norms = cache.lookup(eigsys, f, params.p, LP_BLOCKS)
-    if norms is None:
-        blocks = cache.lookup(eigsys, f, None, LP_BLOCKS)
-        if blocks is None:
-            lam, u = eigsys.eigenvalues, eigsys.eigenfunctions
-            c = _band_check(eigsys, f, cache)[0].coefficients
-            j_max = 1
-            while 4.0 ** (j_max - 1) <= eigsys.band_limit:
-                j_max += 1
-            blocks = tuple(GridFunction(model, u @ (c * f_j(j, lam)))
-                           for j in range(j_max))
-            cache.store(eigsys, f, None, LP_BLOCKS, blocks)
-        norms = tuple(lp_norm(model, g, params.p) for g in blocks)
-        cache.store(eigsys, f, params.p, LP_BLOCKS, norms)
+
+    def block_functions():
+        lam, u = eigsys.eigenvalues, eigsys.eigenfunctions
+        c = _band_check(eigsys, f, cache)[0].coefficients
+        j_max = 1
+        while 4.0 ** (j_max - 1) <= eigsys.band_limit:
+            j_max += 1
+        return tuple(GridFunction(model, u @ (c * f_j(j, lam))) for j in range(j_max))
+
+    def block_norms():
+        blocks = _get(cache, eigsys, f, None, LP_BLOCKS, block_functions)
+        return tuple(lp_norm(model, g, params.p) for g in blocks)
+
+    norms = _get(cache, eigsys, f, params.p, LP_BLOCKS, block_norms)
     terms = [2.0 ** (params.alpha * j) * norms[j] for j in range(1, len(norms))]
     return norms[0] + _q_sum(np.array(terms), params.q)
 
@@ -243,7 +239,7 @@ def jackson_ratios(eigsys: EigenSystem, f: GridFunction, k: int, p: float,
     ``cache`` holds the band check of f and the solves, as for the norms.
     """
     model = eigsys.model
-    c = _require_bandlimited(eigsys, f, cache)
+    c = bandlimited_coefficients(eigsys, f, cache)
     rough = synthesize(eigsys, apply_power(eigsys, c, k / 2.0))
     denom = lp_norm(model, rough, p)
     errors = [r.error for r in errors_at_cutoffs(
@@ -266,7 +262,7 @@ def bernstein_ratio(eigsys: EigenSystem, f_band: GridFunction, k: int,
     bandlimited and its coefficients above the cutoff are within relative
     ``BAND_TOL`` of 0. The band check of f is read through ``cache``.
     """
-    c = _require_bandlimited(eigsys, f_band, cache)
+    c = bandlimited_coefficients(eigsys, f_band, cache)
     idx = eigsys.cutoff_index(omega)
     high = c.coefficients[idx:]
     scale = max(float(np.abs(c.coefficients).max()), 1e-300)
@@ -294,7 +290,7 @@ def k_functional_quadratic(eigsys: EigenSystem, f: GridFunction, t: float,
     """
     if not t >= 0:
         raise ValueError("t must be nonnegative")
-    c = _require_bandlimited(eigsys, f).coefficients
+    c = bandlimited_coefficients(eigsys, f).coefficients
     return float(_k_quadratic(c, eigsys.eigenvalues, np.array([t], dtype=float), k)[0])
 
 
@@ -313,12 +309,14 @@ def interpolation_norm(eigsys: EigenSystem, f: GridFunction, theta: float,
     """||f||_2 plus the truncated interpolation quasi-norm from K_2 at q = 2.
 
     Log-grid quadrature of (t^-theta K_2(f,t))^2 dt/t over ``K_T_GRID``
-    (trapezoid in log t). The band check of f is read through ``cache``.
+    (trapezoid in log t). Per ``cache``, f is band-checked once and the
+    K_2 grid is evaluated once per (f, k); theta only re-weights it.
     """
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
-    c = _require_bandlimited(eigsys, f, cache).coefficients
-    kvals = _k_quadratic(c, eigsys.eigenvalues, K_T_GRID, k)
+    kvals = _get(cache, eigsys, f, None, ("k-grid", k), lambda: _k_quadratic(
+        bandlimited_coefficients(eigsys, f, cache).coefficients, eigsys.eigenvalues,
+        K_T_GRID, k))
     weighted = K_T_GRID ** (-theta) * kvals
     integral = np.trapezoid(weighted ** 2, np.log(K_T_GRID))
     return lp_norm(eigsys.model, f, 2) + float(integral ** 0.5)

@@ -8,6 +8,9 @@ An experiment that raises stops the run; report.json is still written, with
 the assertions made so far, ``passed`` false and an ``aborted`` entry naming
 the experiment and the error, and the exit code is 2 for a configuration
 error (``ConfigError``, ``ValueError``) and 1 for any other exception.
+The model and eigensystem are built once, before the first experiment, and
+only for experiments that read them: ``filters`` builds neither. A model or
+eigensystem too large for memory is a configuration error (exit 2).
 
 Configuration is a plain-text file of ``key = value`` lines ('#' comments,
 comma-separated lists); command-line flags override file values, and both are
@@ -514,9 +517,15 @@ def main(argv=None) -> int:
         outdir = cfg["out"]
         os.makedirs(outdir, exist_ok=True)
         needs_levels = args.command in ("approx", "jackson", "besov", "all")
-        model, eigsys = build_model_and_eigsys(cfg, need_levels=needs_levels)
+        model = eigsys = None
+        if args.command != "filters":   # the filter bank reads no model
+            model, eigsys = build_model_and_eigsys(cfg, need_levels=needs_levels)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: the model and eigensystem do not fit in memory: {exc}",
+              file=sys.stderr)
         return 2
     report = Report()
     cache = ErrorCache()

@@ -29,7 +29,7 @@ class ManifoldModel:
         [0, 2*pi); torus rows are angle pairs; sphere rows are unit vectors
         in R^3; mesh rows are vertex positions.
     weights : ndarray
-        Positive quadrature weights summing to the total measure.
+        Positive, finite quadrature weights summing to the total measure.
     params : dict
         Constructor parameters: grid sizes, or a mesh's vertex and face
         counts (not its file path, so that no output depends on where the
@@ -47,8 +47,8 @@ class ManifoldModel:
         self.weights = np.asarray(weights, dtype=float)
         if self.weights.ndim != 1 or len(self.weights) != self.n_nodes:
             raise ValueError("weights must be one per node")
-        if np.any(self.weights <= 0):
-            raise ValueError("all quadrature weights must be positive")
+        if not np.all((self.weights > 0) & np.isfinite(self.weights)):
+            raise ValueError("all quadrature weights must be positive and finite")
         self.total_measure = float(self.weights.sum())
         self.params = dict(params or {})
         self.faces = faces

@@ -57,6 +57,9 @@ def parse_off(text: str) -> tuple[np.ndarray, np.ndarray]:
     faces = np.array(faces, dtype=int)
     if verts.shape != (nv, 3):
         raise MeshFormatError("vertex block has wrong shape")
+    bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
+    if len(bad):
+        raise MeshFormatError(f"vertex {bad[0]} has a non-finite coordinate")
     if faces.min() < 0 or faces.max() >= nv:
         raise MeshFormatError("face index out of range")
     return verts, faces

@@ -104,7 +104,8 @@ class TestReadersThroughACache:
                 params = BesovParams(alpha=1.0, p=p, q=2.0, J=J)
                 assert (lp_comparator_norm(es, g, params, cache=cache)
                         == lp_comparator_norm(es, g, params))
-        assert bandlimited_coefficients(es, rough, cache) is None
+        with pytest.raises(ValueError, match="not bandlimited"):
+            bandlimited_coefficients(es, rough, cache)
         np.testing.assert_array_equal(
             bandlimited_coefficients(es, f, cache).coefficients,
             bandlimited_coefficients(es, f).coefficients)
@@ -223,7 +224,7 @@ class TestErrorCache:
         es = circle512_es_1024
         cache = ErrorCache()
         f = lacunary(1.0, 4).build(es.model, es)
-        cache.store(es, f, 1.0, 4.0, 0.5)
+        assert cache.get(es, f, 1.0, 4.0, lambda: 0.5) == 0.5
         shifted = GridFunction(es.model, f.values + 1e-12)
         assert cache.lookup(es, shifted, 1.0, 4.0) is None
         other = build_circle(es.model.n_nodes)
@@ -231,6 +232,24 @@ class TestErrorCache:
         assert cache.lookup(es, f, 2.0, 4.0) is None
         assert cache.lookup(es, f, 1.0, 16.0) is None
         assert cache.lookup(es, f, 1.0, 4.0) == 0.5
+
+    @pytest.mark.parametrize("falsy", [0.0, ()])
+    def test_get_counts_a_falsy_entry_as_a_hit(self, circle512_es_1024, falsy):
+        # a zero error or an empty tuple is an entry: only None is a miss
+        es = circle512_es_1024
+        f = lacunary(1.0, 4).build(es.model, es)
+        cache = ErrorCache()
+        calls = []
+
+        def compute():
+            calls.append(falsy)
+            return falsy
+
+        assert cache.get(es, f, 1.0, 4.0, compute) == falsy
+        again = GridFunction(es.model, f.values.copy())
+        assert cache.get(es, again, 1.0, 4.0, compute) == falsy
+        assert cache.lookup(es, f, 1.0, 4.0) == falsy
+        assert len(calls) == 1
 
     def test_eigensystems_of_one_model_do_not_share_entries(self):
         # lacunary(1, 4) reaches lambda = 256: inside band 1000, beyond band 100
@@ -498,6 +517,29 @@ class TestInterpolationNorm:
                 an = a_norm(es, f, params, cache)
                 inorm = interpolation_norm(es, f, alpha / k, k)
                 assert 1.0 / 8.0 <= an / inorm <= 8.0
+
+    def test_k_grid_evaluated_once_per_function_and_order(
+            self, circle512_es_1024, rng, monkeypatch):
+        # K_2(f, t) on the t-grid depends on (f, k) alone: through one cache
+        # three values of theta evaluate it once, a second order once more
+        import besovlab.analysis as analysis
+        es = circle512_es_1024
+        f = random_band(es, rng, 9)
+        thetas = (0.25, 0.5, 0.75)
+        expected = [interpolation_norm(es, f, theta, 2) for theta in thetas]
+        orders = []
+        orig = analysis._k_quadratic
+
+        def counting(c, lam, t, k):
+            orders.append(k)
+            return orig(c, lam, t, k)
+
+        monkeypatch.setattr(analysis, "_k_quadratic", counting)
+        cache = ErrorCache()
+        assert [interpolation_norm(es, f, theta, 2, cache) for theta in thetas] == expected
+        assert orders == [2]
+        interpolation_norm(es, f, 0.5, 1, cache)
+        assert orders == [2, 1]
 
     @pytest.mark.parametrize("fixture", ["circle512_es_1024", "sphere16_es",
                                          "icosphere3_es"])

@@ -246,6 +246,30 @@ class TestAbort:
         assert list(report) == ["config", "experiments", "assertions", "passed"]
 
 
+class TestModelBuild:
+    def test_filters_builds_no_model(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("filters built a model")
+
+        monkeypatch.setattr(cli, "build_model_and_eigsys", forbidden)
+        out = tmp_path / "o"
+        assert run_cli(["filters", "--nodes", "100000000", "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["passed"] is True
+
+    def test_memory_error_while_building_is_config_error(self, tmp_path,
+                                                         monkeypatch, capsys):
+        def too_big(model, band):
+            raise MemoryError("Unable to allocate 35.5 PiB for an array")
+
+        monkeypatch.setattr(cli, "build_eigensystem", too_big)
+        out = tmp_path / "o"
+        assert run_cli(["spectrum", "--nodes", "64", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: the model and eigensystem do not fit in memory: "
+                       "Unable to allocate 35.5 PiB for an array\n")
+        assert not (out / "report.json").exists()
+
+
 class TestSubcommands:
     def test_filters_passes_and_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "filters-out"

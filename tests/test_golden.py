@@ -95,3 +95,16 @@ def test_a_changed_exit_code_fails(runs, capsys):
     code, lines = diff(runs, capsys)
     assert code == 1
     assert f"{name}: exit 0/2, stderr same, pass/fail same" in lines
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_an_output_directory_on_one_side_only_fails(runs, capsys, side):
+    # a config that exits 2 before it makes --out leaves no directory
+    name = list(golden.CONFIGS)[3]
+    gone = runs[1] if side == "A" else runs[0]
+    shutil.rmtree(gone / name)
+    (gone / f"{name}.exit").write_text("2\n")
+    code, lines = diff(runs, capsys)
+    assert code == 1
+    assert f"  {name}/: only in {side}" in lines
+    assert f"  report.json: only in {side}" in lines

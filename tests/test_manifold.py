@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from besovlab.manifold import (GridFunction, build_circle, build_sphere2,
-                               build_torus2, lp_norm)
+from besovlab.manifold import (GridFunction, ManifoldModel, build_circle,
+                               build_sphere2, build_torus2, lp_norm)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_model_rejects_a_weight_not_positive_and_finite(bad):
+    weights = np.array([1.0, bad, 1.0, 1.0])
+    with pytest.raises(ValueError, match="positive and finite"):
+        ManifoldModel("circle", 1, np.arange(4.0)[:, None], weights)
 
 
 class TestCircle:

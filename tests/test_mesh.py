@@ -78,6 +78,26 @@ def test_cli_exits_2_on_malformed_face_line(tmp_path, capsys):
     assert "malformed face line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+def test_parse_off_rejects_non_finite_vertex(coord):
+    text = f"OFF\n3 1 0\n0 0 0\n1 {coord} 0\n0 1 0\n3 0 1 2\n"
+    with pytest.raises(MeshFormatError, match="vertex 1 has a non-finite coordinate"):
+        parse_off(text)
+
+
+def test_cli_exits_2_on_non_finite_vertex(tmp_path, capsys):
+    verts, faces = icosphere(1)
+    verts[7, 2] = np.nan
+    path = tmp_path / "nan.off"
+    write_off(path, verts, faces)
+    code = main(["spectrum", "--manifold", "mesh", "--mesh", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "vertex 7 has a non-finite coordinate" in err
+    assert "Traceback" not in err
+
+
 def test_geodesics_computed_on_first_use(icosphere3_path, monkeypatch):
     def forbidden(verts, faces):
         raise AssertionError("edge-graph distances computed eagerly")

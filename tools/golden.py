@@ -20,7 +20,9 @@ magnitude is below 1e-10 on both sides are only counted, and the
 ``identical (runtime_ms masked)``. A last line counts the identical outputs
 and those with drift. It exits 1 when an exit code, stderr, the
 ``report.json`` pass/fail list, the set of files or a non-numeric token of
-stdout or an output file differs, and 0 when only numeric drift is found.
+stdout or an output file differs, and 0 when only numeric drift is found. A
+config whose output directory exists on one side only (it exited before
+making ``--out``) reads ``only in A`` or ``only in B``.
 """
 
 from __future__ import annotations
@@ -202,7 +204,9 @@ def diff(a_dir: str, b_dir: str) -> int:
                  f"stderr {'same' if same_err else 'DIFFERS'}"]
         bad |= codes[0] != codes[1] or not same_err
         da, db = os.path.join(a_dir, name), os.path.join(b_dir, name)
-        files_a, files_b = set(os.listdir(da)), set(os.listdir(db))
+        # a config that exits before it makes --out has no directory
+        files_a, files_b = (set(os.listdir(d)) if os.path.isdir(d) else set()
+                            for d in (da, db))
         if "report.json" in files_a and "report.json" in files_b:
             verdicts = (_verdicts(os.path.join(da, "report.json"))
                         == _verdicts(os.path.join(db, "report.json")))
@@ -219,6 +223,9 @@ def diff(a_dir: str, b_dir: str) -> int:
             drift.words(out_a, out_b, "stdout")
             bad |= _summary("stdout", drift)
             drifted += 1
+        if os.path.isdir(da) != os.path.isdir(db):
+            print(f"  {name}/: only in {'A' if os.path.isdir(da) else 'B'}")
+            bad = True
         for only, side in ((files_a - files_b, "A"), (files_b - files_a, "B")):
             for fname in sorted(only):
                 print(f"  {fname}: only in {side}")
