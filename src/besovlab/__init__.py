@@ -6,9 +6,9 @@ approximation norms with their Jackson/Bernstein/Young verifiers.
 """
 
 from .analysis import (BesovParams, ErrorCache, a_norm, a_norm_continuous,
-                       bernstein_ratio, errors_at_cutoffs, interpolation_norm,
-                       is_bandlimited, jackson_ratios, k_functional_quadratic,
-                       lp_comparator_norm)
+                       bandlimited_coefficients, bernstein_ratio,
+                       errors_at_cutoffs, interpolation_norm, is_bandlimited,
+                       jackson_ratios, k_functional_quadratic, lp_comparator_norm)
 from .approx import ApproxResult, best_approx
 from .corpus import (CorpusEntry, default_corpus, eigen_pure, lacunary,
                      lacunary_l2_error, manifest, random_bandlimited,

@@ -253,27 +253,26 @@ def jackson_ratios(eigsys: EigenSystem, f: GridFunction, k: int, p: float,
     return [2.0 ** (j * k) * errors[j] / denom for j in range(J + 1)]
 
 
-def bernstein_ratio(eigsys: EigenSystem, f_band: GridFunction, k: int,
-                    p: float, omega: float,
-                    cache: ErrorCache | None = None) -> float:
-    """||L^k f||_p / (omega^k ||f||_p) for f in the span {lambda <= omega}.
+def bernstein_ratio(eigsys: EigenSystem, c: CoefVector, k: int, p: float,
+                    omega: float) -> float:
+    """||L^k f||_p / (omega^k ||f||_p) for f = sum_l c_l u_l, lambda_l <= omega.
 
-    At p = 2 the ratio is exactly bounded by 1. Rejects f unless it is
-    bandlimited and its coefficients above the cutoff are within relative
-    ``BAND_TOL`` of 0. The band check of f is read through ``cache``.
+    At p = 2 the ratio is exactly bounded by 1. Rejects c unless its entries
+    above the cutoff are within relative ``BAND_TOL`` of 0, and takes both
+    norms on the span part c[:cutoff_index(omega)], where L^k meets no
+    roundoff. A caller holding samples gets c from ``bandlimited_coefficients``.
     """
-    c = bandlimited_coefficients(eigsys, f_band, cache)
+    coefs = c.coefficients
     idx = eigsys.cutoff_index(omega)
-    high = c.coefficients[idx:]
-    scale = max(float(np.abs(c.coefficients).max()), 1e-300)
-    if len(high) and float(np.abs(high).max()) > BAND_TOL * scale:
+    scale = max(float(np.abs(coefs).max(initial=0.0)), 1e-300)
+    if float(np.abs(coefs[idx:]).max(initial=0.0)) > BAND_TOL * scale:
         raise ValueError("function has components above the cutoff omega")
-    model = eigsys.model
-    rough = synthesize(eigsys, apply_power(eigsys, c, float(k)))
-    denom = omega ** k * lp_norm(model, f_band, p)
+    span = CoefVector(coefs[:idx])
+    rough = synthesize(eigsys, apply_power(eigsys, span, float(k)))
+    denom = omega ** k * lp_norm(eigsys.model, synthesize(eigsys, span), p)
     if denom == 0.0:
         return 0.0
-    return lp_norm(model, rough, p) / denom
+    return lp_norm(eigsys.model, rough, p) / denom
 
 
 def k_functional_quadratic(eigsys: EigenSystem, f: GridFunction, t: float,

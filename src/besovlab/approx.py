@@ -171,18 +171,21 @@ def _solve_irls(u, w, fvals, c0, r0, err0, tol, p):
     scaled = np.empty_like(u_fortran)
     c, r, err = c0, r0, err0
     lower = 0.0
+    # an empty span (k = 0) keeps z empty: g = h then attains the error
+    z = np.zeros(k)
     for iters in range(1, IRLS_MAX_ITER + 1):
         a = np.abs(r)
         d = np.maximum(a, IRLS_EPS) ** (p - 2.0)
         # s = h / d with h = sign(r) |r|^(p-1), free of 0/0 and overflow
         s = r * np.maximum(a / np.maximum(a, IRLS_EPS), tiny) ** (p - 2.0)
-        sq = np.sqrt(w * d)
-        np.multiply(u_fortran, sq[:, None], out=scaled)
-        _, x, _, _, info = gelsy(scaled, sq * s, np.zeros(k, np.int32), rcond,
-                                 lwork, overwrite_a=True, overwrite_b=True)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of gelsy")
-        z = x[:k]
+        if k:
+            sq = np.sqrt(w * d)
+            np.multiply(u_fortran, sq[:, None], out=scaled)
+            _, x, _, _, info = gelsy(scaled, sq * s, np.zeros(k, np.int32), rcond,
+                                     lwork, overwrite_a=True, overwrite_b=True)
+            if info < 0:
+                raise ValueError(f"illegal value in argument {-info} of gelsy")
+            z = x[:k]
         # g = h - d (Uz) has U^T(w g) = U^T(w h) - H z = 0
         lower = max(lower, _dual_bound(u, w, r, d * (s - u @ z), p))
         if err - lower <= tol:

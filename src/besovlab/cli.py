@@ -9,7 +9,8 @@ the assertions made so far, ``passed`` false and an ``aborted`` entry naming
 the experiment and the error, and the exit code is 2 for a configuration
 error (``ConfigError``, ``ValueError``) and 1 for any other exception.
 The model and eigensystem are built once, before the first experiment, and
-only for experiments that read them: ``filters`` builds neither. A model or
+only for experiments that read them: ``filters`` builds neither. Each
+experiment takes the eigensystem alone and reads the model it holds. A model or
 eigensystem too large for memory is a configuration error (exit 2).
 
 Configuration is a plain-text file of ``key = value`` lines ('#' comments,
@@ -47,7 +48,7 @@ from .operators import (KernelMatrix, build_kernel, fit_decay_constant,
                         operator_norm_estimate, weighted_decay_integral,
                         young_apply_check)
 from .spectrum import (CoefVector, build_eigensystem, check_orthonormality,
-                       save_eigensystem, synthesize)
+                       save_eigensystem)
 
 
 class ConfigError(Exception):
@@ -144,6 +145,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
     for key, least in (("k", 1), ("jmax", 1), ("trials", 1), ("seed", 0)):
         if cfg[key] < least:
             raise ConfigError(f"{key} is {cfg[key]}; it must be at least {least}")
+    try:
+        4.0 ** cfg["jmax"]  # the top level's cutoff, and a mesh's default band
+    except OverflowError:
+        raise ConfigError(f"jmax is {cfg['jmax']}; 4^jmax overflows a float") from None
     if cfg["band"] is not None and not 0 < cfg["band"] < float("inf"):
         raise ConfigError(f"band is {cfg['band']}; it must be positive and finite")
     if cfg["manifold"] == "mesh":
@@ -178,13 +183,13 @@ def _check_corpus_resolved(cfg: dict, names: list[str]) -> None:
 
 
 def build_model_and_eigsys(cfg: dict, need_levels: bool = True):
+    """The configured manifold's eigensystem, which holds its model."""
     model, default_band = MANIFOLDS[cfg["manifold"]](cfg)
     band = default_band if cfg["band"] is None else cfg["band"]
     need = 4.0 ** cfg["jmax"]
     if need_levels and band < need:
         raise ConfigError(f"band {band} cannot reach jmax={cfg['jmax']} (needs {need})")
-    eigsys = build_eigensystem(model, band)
-    return model, eigsys
+    return build_eigensystem(model, band)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +262,7 @@ class Report:
 # ---------------------------------------------------------------------------
 # experiments
 
-def run_spectrum(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
+def run_spectrum(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
     dev = check_orthonormality(eigsys)
     report.check("spectrum.orthonormality", dev < 1e-10, dev, 1e-10)
     report.check("spectrum.lambda0", eigsys.eigenvalues[0] == 0.0,
@@ -267,7 +272,7 @@ def run_spectrum(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
     save_eigensystem(eigsys, os.path.join(outdir, "eigensystem.json"))
 
 
-def run_filters(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
+def run_filters(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
     J = 5
     grid = np.linspace(0.0, 4.0 ** J, 10001)
     dev = check_partition(J, grid)
@@ -278,7 +283,7 @@ def run_filters(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
     write_table(outdir, "filters", ["lambda"] + [f"F{j}" for j in range(J + 1)], rows)
 
 
-def run_kernel_decay(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
+def run_kernel_decay(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
     # scales 2^-j, 0 < t <= 1, whose filter band the eigensystem covers
     usable = [2.0 ** (-j) for j in range(0, 7)
               if 16.0 * 4.0 ** j <= eigsys.band_limit]
@@ -298,7 +303,7 @@ def run_kernel_decay(cfg, model, eigsys, outdir, report: Report, cache: ErrorCac
     ratio = max(cs) / min(cs) if min(cs) > 0 else float("inf")
     report.check("kernel.decay_uniformity", ratio < 4.0, ratio, 4.0,
                  note=f"t in {t_list}")
-    vol = [weighted_decay_integral(model, t) for t in t_list]
+    vol = [weighted_decay_integral(eigsys.model, t) for t in t_list]
     vratio = max(vol) / min(vol)
     report.check("kernel.volume_uniformity", vratio < 8.0, vratio, 8.0)
     write_table(outdir, "kernel_decay", ["t", "N", "C", "max_abs_K", "runtime_ms"], rows)
@@ -316,14 +321,14 @@ def run_kernel_decay(cfg, model, eigsys, outdir, report: Report, cache: ErrorCac
     write_table(outdir, "operator_norms", ["p", "t", "estimate"], norm_rows)
 
 
-def run_approx(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
-    entries = corpus_mod.default_corpus(model.kind)
+def run_approx(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
+    entries = corpus_mod.default_corpus(eigsys.model.kind)
     _atomic_write(os.path.join(outdir, "corpus_manifest.json"),
                   json.dumps(corpus_mod.manifest(entries), indent=2))
     cutoffs = [4.0 ** j for j in range(cfg["jmax"] + 1)]
     rows = []
     for entry in entries:
-        f = entry.build(model, eigsys)
+        f = entry.build(eigsys.model, eigsys)
         for p in cfg["p"]:
             errs = [r.error for r in errors_at_cutoffs(eigsys, f, p, cutoffs, cache)]
             mono = all(errs[i + 1] <= errs[i] + 1e-9 for i in range(len(errs) - 1))
@@ -347,8 +352,9 @@ def run_approx(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
     write_table(outdir, "approx_errors", ["id", "j", "omega", "p", "error"], rows)
 
 
-def run_jackson(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
+def run_jackson(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
     k = cfg["k"]
+    model = eigsys.model
     entry = _jackson_entry(cfg, model.kind)
     f = entry.build(model, eigsys)
     rows = []
@@ -366,7 +372,7 @@ def run_jackson(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
     write_table(outdir, "jackson", ["id", "p", "j", "ratio"], rows)
 
 
-def run_bernstein(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
+def run_bernstein(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
     k = cfg["k"]
     rng = np.random.default_rng(cfg["seed"])
     # the spread check compares cutoffs, so the sweep needs at least two
@@ -381,10 +387,8 @@ def run_bernstein(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache)
             k_idx = eigsys.cutoff_index(omega)
             worst = 0.0
             for _ in range(cfg["trials"]):
-                c = np.zeros(eigsys.n_eigen)
-                c[:k_idx] = rng.standard_normal(k_idx)
-                fb = synthesize(eigsys, CoefVector(c))
-                worst = max(worst, bernstein_ratio(eigsys, fb, k, p, omega))
+                c = CoefVector(rng.standard_normal(k_idx))
+                worst = max(worst, bernstein_ratio(eigsys, c, k, p, omega))
             worsts.append(worst)
             rows.append([p, omega, worst])
         if p == 2.0:
@@ -396,8 +400,9 @@ def run_bernstein(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache)
     write_table(outdir, "bernstein", ["p", "omega", "max_ratio"], rows)
 
 
-def run_young(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
+def run_young(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
     rng = np.random.default_rng(cfg["seed"])
+    model = eigsys.model
     n = model.n_nodes
     rows = []
     worst = -np.inf
@@ -420,15 +425,15 @@ def run_young(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
     write_table(outdir, "young", ["trial", "p", "q", "alpha", "lhs", "rhs", "slack"], rows)
 
 
-def run_besov(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
+def run_besov(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
     J = cfg["jmax"]
     summaries = []
     rows = []
     ratios = []
     k = cfg["k"]
     funcs = []
-    for entry in corpus_mod.default_corpus(model.kind):
-        f = entry.build(model, eigsys)
+    for entry in corpus_mod.default_corpus(eigsys.model.kind):
+        f = entry.build(eigsys.model, eigsys)
         funcs.append((entry, f, is_bandlimited(eigsys, f, cache)))
     for entry, f, bandlimited in funcs:
         jackson_max = bernstein_max = None
@@ -436,11 +441,12 @@ def run_besov(cfg, model, eigsys, outdir, report: Report, cache: ErrorCache):
             jr = jackson_ratios(eigsys, f, k, 2.0, J, cache)
             jackson_max = max(jr)
             # the function's own cutoff: largest eigenvalue carrying content
-            coefs = np.abs(bandlimited_coefficients(eigsys, f, cache).coefficients)
+            c = bandlimited_coefficients(eigsys, f, cache)
+            coefs = np.abs(c.coefficients)
             alive = np.nonzero(coefs > 1e-10 * max(coefs.max(), 1e-300))[0]
             if len(alive) and eigsys.eigenvalues[alive[-1]] > 0:
                 own_band = float(eigsys.eigenvalues[alive[-1]])
-                bernstein_max = bernstein_ratio(eigsys, f, k, 2.0, own_band, cache)
+                bernstein_max = bernstein_ratio(eigsys, c, k, 2.0, own_band)
         for alpha in cfg["alpha"]:
             for p in cfg["p"]:
                 for q in cfg["q"]:
@@ -517,9 +523,9 @@ def main(argv=None) -> int:
         outdir = cfg["out"]
         os.makedirs(outdir, exist_ok=True)
         needs_levels = args.command in ("approx", "jackson", "besov", "all")
-        model = eigsys = None
+        eigsys = None
         if args.command != "filters":   # the filter bank reads no model
-            model, eigsys = build_model_and_eigsys(cfg, need_levels=needs_levels)
+            eigsys = build_model_and_eigsys(cfg, need_levels=needs_levels)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -533,7 +539,7 @@ def main(argv=None) -> int:
     aborted = None
     for name in names:
         try:
-            EXPERIMENTS[name](cfg, model, eigsys, outdir, report, cache)
+            EXPERIMENTS[name](cfg, eigsys, outdir, report, cache)
         except Exception as exc:
             aborted = exc
             summary["aborted"] = {"experiment": name,

@@ -100,6 +100,9 @@ class GridFunction:
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
+        if self.values.dtype.kind not in "biuf":
+            raise ValueError(f"grid function samples must be real numbers, "
+                             f"not dtype {self.values.dtype}")
         if self.values.shape != (self.model.n_nodes,):
             raise ValueError("values must be one sample per node")
         if not np.all(np.isfinite(self.values)):

@@ -26,10 +26,14 @@ def _report(name, passed, detail):
     assert passed, f"{name}: {detail}"
 
 
-def random_band(es, rng, count):
+def random_coefs(es, rng, count):
     c = np.zeros(es.n_eigen)
     c[:count] = rng.standard_normal(count)
-    return synthesize(es, CoefVector(c))
+    return CoefVector(c)
+
+
+def random_band(es, rng, count):
+    return synthesize(es, random_coefs(es, rng, count))
 
 
 def test_criterion_1_partition_of_unity():
@@ -125,7 +129,7 @@ def test_criterion_6_bernstein(circle1024_es):
         per_omega = []
         for omega in omegas:
             k_idx = es.cutoff_index(omega)
-            worst = max(bernstein_ratio(es, random_band(es, rng, k_idx),
+            worst = max(bernstein_ratio(es, random_coefs(es, rng, k_idx),
                                         2, p, omega)
                         for _ in range(100))
             per_omega.append(worst)

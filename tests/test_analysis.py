@@ -20,10 +20,14 @@ def pure(es, l):
     return GridFunction(es.model, es.eigenfunctions[:, l].copy())
 
 
-def random_band(es, rng, count):
+def random_coefs(es, rng, count):
     c = np.zeros(es.n_eigen)
     c[:count] = rng.standard_normal(count)
-    return synthesize(es, CoefVector(c))
+    return CoefVector(c)
+
+
+def random_band(es, rng, count):
+    return synthesize(es, random_coefs(es, rng, count))
 
 
 class TestBesovParams:
@@ -93,9 +97,6 @@ class TestReadersThroughACache:
         assert is_bandlimited(es, f, cache) is is_bandlimited(es, f) is True
         assert is_bandlimited(es, rough, cache) is is_bandlimited(es, rough) is False
         assert jackson_ratios(es, f, 2, 2.0, J, cache) == jackson_ratios(es, f, 2, 2.0, J)
-        for p in (2.0, np.inf):
-            assert (bernstein_ratio(es, f, 2, p, omega, cache)
-                    == bernstein_ratio(es, f, 2, p, omega))
         for k in (1, 2):
             assert (interpolation_norm(es, f, 0.5, k, cache)
                     == interpolation_norm(es, f, 0.5, k))
@@ -393,23 +394,25 @@ class TestBernsteinRatio:
     def test_pure_eigenfunction_closed_form(self, circle512_es_1024):
         es = circle512_es_1024
         l = es.index_of(("sin", 2))  # lambda = 4
-        f = pure(es, l)
+        c = CoefVector(np.eye(es.n_eigen)[l])
         for omega in (4.0, 16.0):
-            assert bernstein_ratio(es, f, 2, 2.0, omega) == pytest.approx(
+            assert bernstein_ratio(es, c, 2, 2.0, omega) == pytest.approx(
                 (es.eigenvalues[l] / omega) ** 2, rel=1e-10)
 
     def test_constant_zero(self, circle512_es_1024):
+        # a caller holding samples band-checks them into coefficients first
         es = circle512_es_1024
         f = GridFunction(es.model, np.full(es.model.n_nodes, 0.7))
-        assert bernstein_ratio(es, f, 2, 2.0, 4.0) < 1e-9
+        c = bandlimited_coefficients(es, f)
+        assert bernstein_ratio(es, c, 2, 2.0, 4.0) < 1e-9
 
     def test_p2_never_exceeds_one(self, circle512_es_1024, rng):
         es = circle512_es_1024
         for omega in (4.0, 16.0, 64.0):
             k_idx = es.cutoff_index(omega)
             for _ in range(30):
-                f = random_band(es, rng, k_idx)
-                assert bernstein_ratio(es, f, 2, 2.0, omega) <= 1 + 1e-12
+                c = random_coefs(es, rng, k_idx)
+                assert bernstein_ratio(es, c, 2, 2.0, omega) <= 1 + 1e-12
 
     def test_stability_across_band(self, circle512_es_1024, rng):
         es = circle512_es_1024
@@ -417,7 +420,7 @@ class TestBernsteinRatio:
             worsts = []
             for omega in (4.0, 16.0, 64.0):
                 k_idx = es.cutoff_index(omega)
-                worst = max(bernstein_ratio(es, random_band(es, rng, k_idx),
+                worst = max(bernstein_ratio(es, random_coefs(es, rng, k_idx),
                                             2, p, omega)
                             for _ in range(50))
                 worsts.append(worst)
@@ -425,9 +428,57 @@ class TestBernsteinRatio:
 
     def test_rejects_out_of_band_content(self, circle512_es_1024, rng):
         es = circle512_es_1024
-        f = random_band(es, rng, es.cutoff_index(256.0))
+        c = random_coefs(es, rng, es.cutoff_index(256.0))
         with pytest.raises(ValueError, match="cutoff"):
-            bernstein_ratio(es, f, 2, 2.0, 4.0)
+            bernstein_ratio(es, c, 2, 2.0, 4.0)
+
+    @staticmethod
+    def longdouble_ratio(es, c, k, p, omega):
+        """The ratio of the circle's trigonometric polynomial sum_l c_l u_l,
+        evaluated at the nodes in np.longdouble (uniform weights cancel)."""
+        pi = 4 * np.arctan(np.longdouble(1))
+        n = es.model.n_nodes
+        theta = 2 * pi * np.arange(n, dtype=np.longdouble) / n
+        f = np.zeros(n, dtype=np.longdouble)
+        rough = np.zeros(n, dtype=np.longdouble)
+        for coef, label in zip(c.coefficients.astype(np.longdouble), es.labels):
+            if label == ("const",):
+                m, col = 0, np.full(n, 1 / np.sqrt(2 * pi))
+            else:
+                kind, m = label
+                col = (np.cos if kind == "cos" else np.sin)(m * theta) / np.sqrt(pi)
+            f += coef * col
+            rough += coef * np.longdouble(m) ** (2 * k) * col
+        norm = (lambda v: np.abs(v).max()) if np.isinf(p) else (lambda v: np.abs(v).sum())
+        return float(norm(rough) / (np.longdouble(omega) ** k * norm(f)))
+
+    def test_ratios_match_an_extended_precision_evaluation(self, circle512_es):
+        # full band: L^2 would scale roundoff left above omega by up to
+        # (65025 / 4)^2; the sample route (synthesize, then project) missed
+        # this reference by up to 1.6e-5 on these draws
+        es = circle512_es
+        rng = np.random.default_rng(7)
+        for omega in (4.0, 16.0, 64.0):
+            idx = es.cutoff_index(omega)
+            for _ in range(8):
+                c = random_coefs(es, rng, idx)
+                for p in (1.0, np.inf):
+                    ratio = bernstein_ratio(es, c, 2, p, omega)
+                    assert ratio == pytest.approx(
+                        self.longdouble_ratio(es, c, 2, p, omega), rel=1e-12)
+
+    def test_roundoff_above_the_cutoff_leaves_the_ratio_unchanged(
+            self, circle512_es, rng):
+        es = circle512_es
+        for omega in (4.0, 16.0, 64.0):
+            idx = es.cutoff_index(omega)
+            c = random_coefs(es, rng, idx).coefficients
+            noisy = c.copy()
+            noisy[idx:] = 1e-17 * np.abs(c).max() * rng.choice(
+                [-1.0, 1.0], es.n_eigen - idx)
+            for p in (1.0, 2.0, np.inf):
+                assert (bernstein_ratio(es, CoefVector(noisy), 2, p, omega)
+                        == bernstein_ratio(es, CoefVector(c), 2, p, omega))
 
 
 class TestKFunctional:

@@ -61,6 +61,18 @@ class TestExactCases:
         res = best_approx(es.model, es, f, es.eigenvalues[9], 2.0)
         assert res.error < 1e-10
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
+    def test_empty_span_leaves_the_whole_function(self, circle1024_es, rng, p):
+        # no eigenvalue is <= -1: the span is {0}, so E(f, -1, p) = ||f||_p
+        es = circle1024_es
+        f = random_band(es, rng, 9)
+        res = best_approx(es.model, es, f, -1.0, p)
+        norm = lp_norm(es.model, f, p)
+        assert len(res.coefficients) == 0
+        assert res.error == norm
+        assert res.lower_bound == pytest.approx(norm, rel=1e-12)
+        assert res.converged
+
 
 class TestLacunaryOracle:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])

@@ -129,6 +129,27 @@ class TestConfig:
         assert "it must be at least 1" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["approx", "--nodes", "256", "--jmax", "600"],
+        ["bernstein", "--nodes", "64", "--jmax", "600"],
+        ["bernstein", "--nodes", "64", "--jmax", "512"],
+        ["spectrum", "--manifold", "mesh", "--jmax", "600"]])
+    def test_jmax_whose_cutoff_overflows_is_config_error(self, tmp_path, capsys,
+                                                         icosphere3_path, args):
+        # 4^jmax is the top level's cutoff and a mesh's default band
+        if "mesh" in args:
+            args = args + ["--mesh", str(icosphere3_path)]
+        out = tmp_path / "o"
+        assert run_cli(args + ["--out", str(out)]) == 2
+        assert f"jmax is {args[4]}; 4^jmax overflows a float" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_finite_jmax_reaches_the_band_check(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli(["approx", "--nodes", "256", "--jmax", "511",
+                        "--out", str(out)]) == 2
+        assert "cannot reach jmax=511" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args, message", [
         (["spectrum", "--nodes", "128", "--band", "0"], "band is 0.0"),
         (["spectrum", "--nodes", "128", "--band", "-5"], "band is -5.0"),

@@ -108,3 +108,14 @@ def test_an_output_directory_on_one_side_only_fails(runs, capsys, side):
     assert code == 1
     assert f"  {name}/: only in {side}" in lines
     assert f"  report.json: only in {side}" in lines
+
+
+@pytest.mark.parametrize("ext", ["stdout", "stderr", "exit"])
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_a_config_file_on_one_side_only_fails(runs, capsys, side, ext):
+    name = "all-torus20"
+    gone = runs[1] if side == "A" else runs[0]
+    (gone / f"{name}.{ext}").unlink()
+    code, lines = diff(runs, capsys)
+    assert code == 1
+    assert f"  {name}.{ext}: only in {side}" in lines

@@ -162,6 +162,22 @@ def test_grid_function_validation(circle1024):
         GridFunction(circle1024, bad)
 
 
+@pytest.mark.parametrize("values", [
+    np.ones(1024, dtype=complex),
+    np.ones(1024, dtype=object),
+    np.array(["1.0"] * 1024)])
+def test_grid_function_rejects_samples_that_are_not_real_numbers(circle1024, values):
+    # a complex sample would lose its imaginary part in every projection
+    with pytest.raises(ValueError, match=f"not dtype {values.dtype}"):
+        GridFunction(circle1024, values)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int32, np.uint8, np.float32, float])
+def test_grid_function_keeps_real_samples_as_given(circle1024, dtype):
+    values = np.ones(1024, dtype=dtype)
+    assert GridFunction(circle1024, values).values.dtype == dtype
+
+
 def test_models_are_reusable(circle1024):
     # distance matrix caching must not mutate observable state
     d1 = circle1024.distance_matrix()

@@ -22,7 +22,8 @@ and those with drift. It exits 1 when an exit code, stderr, the
 ``report.json`` pass/fail list, the set of files or a non-numeric token of
 stdout or an output file differs, and 0 when only numeric drift is found. A
 config whose output directory exists on one side only (it exited before
-making ``--out``) reads ``only in A`` or ``only in B``.
+making ``--out``) reads ``only in A`` or ``only in B``, and so does a
+missing exit code, stdout or stderr file of a config.
 """
 
 from __future__ import annotations
@@ -192,14 +193,20 @@ def _summary(fname, drift):
     return bool(drift.text)
 
 
+def _read_both(a_dir, b_dir, fname):
+    """``fname`` as read in each run directory; a missing file reads None."""
+    paths = [os.path.join(d, fname) for d in (a_dir, b_dir)]
+    return [_read(path) if os.path.isfile(path) else None for path in paths]
+
+
 def diff(a_dir: str, b_dir: str) -> int:
     bad = False
     same = drifted = 0
     for name in CONFIGS:
-        codes = [_read(os.path.join(d, f"{name}.exit")).strip()
-                 for d in (a_dir, b_dir)]
-        same_err = (_read(os.path.join(a_dir, f"{name}.stderr"))
-                    == _read(os.path.join(b_dir, f"{name}.stderr")))
+        texts = {ext: _read_both(a_dir, b_dir, f"{name}.{ext}")
+                 for ext in ("exit", "stderr", "stdout")}
+        codes = [None if t is None else t.strip() for t in texts["exit"]]
+        same_err = texts["stderr"][0] == texts["stderr"][1]
         heads = [f"exit {codes[0]}/{codes[1]}",
                  f"stderr {'same' if same_err else 'DIFFERS'}"]
         bad |= codes[0] != codes[1] or not same_err
@@ -213,9 +220,16 @@ def diff(a_dir: str, b_dir: str) -> int:
             bad |= not verdicts
             heads.append(f"pass/fail {'same' if verdicts else 'DIFFERS'}")
         print(f"{name}: " + ", ".join(heads))
-        out_a = _read(os.path.join(a_dir, f"{name}.stdout"))
-        out_b = _read(os.path.join(b_dir, f"{name}.stdout"))
-        if out_a == out_b:
+        for ext, pair in texts.items():
+            sides = "".join(side for side, text in zip("AB", pair) if text is not None)
+            if sides != "AB":
+                print(f"  {name}.{ext}: " + (f"only in {sides}" if sides
+                                             else "in neither run"))
+                bad = True
+        out_a, out_b = texts["stdout"]
+        if out_a is None or out_b is None:
+            pass  # reported above
+        elif out_a == out_b:
             print("  stdout: identical")
             same += 1
         else:
