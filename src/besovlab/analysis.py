@@ -26,6 +26,7 @@ from .spectrum import CoefVector, EigenSystem, apply_power, project, synthesize
 BAND_TOL = 1e-8  # relative tolerance of every bandlimited test
 BAND_CHECK = "band-check"  # ``at`` of the per-function band-check entries
 LP_BLOCKS = "lp-blocks"    # ``at`` of the Littlewood-Paley block entries
+LP_NORM = "lp-norm"        # ``at`` of the ||f||_p entries
 K_T_GRID = np.geomspace(1e-4, 1.0, 120)  # the t-grid of ``interpolation_norm``
 
 
@@ -66,14 +67,14 @@ def a_norm(eigsys: EigenSystem, f: GridFunction, params: BesovParams,
     """Dyadic approximation norm truncated at level J.
 
     The sum runs over j = 0..J and stops there; E(f, 4^j, p) comes from
-    ``errors_at_cutoffs`` through ``cache``.
+    ``errors_at_cutoffs`` and ||f||_p from ``_norm``, both through ``cache``.
     """
     if 4.0 ** params.J > eigsys.band_limit:
         raise ValueError("4^J exceeds the computed band limit")
     errors = [r.error for r in errors_at_cutoffs(
         eigsys, f, params.p, [4.0 ** j for j in range(params.J + 1)], cache)]
     terms = [2.0 ** (params.alpha * j) * errors[j] for j in range(params.J + 1)]
-    return lp_norm(eigsys.model, f, params.p) + _q_sum(np.array(terms), params.q)
+    return _norm(eigsys, f, params.p, cache) + _q_sum(np.array(terms), params.q)
 
 
 class ErrorCache:
@@ -85,6 +86,7 @@ class ErrorCache:
     that every p reads) and ``at``, which names the quantity:
 
     - a cutoff omega, with p: the best-approximation result for E(f, omega, p);
+    - ``LP_NORM``, with p: the norm ||f||_p;
     - ``LP_BLOCKS``, with p: the tuple of block norms ||F_j(L)f||_p;
     - ``LP_BLOCKS``, p = ``None``: the tuple of block functions F_j(L)f;
     - ``BAND_CHECK``, p = ``None``: f's eigencoefficients and whether they
@@ -125,6 +127,11 @@ def _get(cache, eigsys, f, p, at, compute):
     return compute() if cache is None else cache.get(eigsys, f, p, at, compute)
 
 
+def _norm(eigsys, f, p, cache):
+    """||f||_p, taken once per (f, p) per ``cache``."""
+    return _get(cache, eigsys, f, p, LP_NORM, lambda: lp_norm(eigsys.model, f, p))
+
+
 def errors_at_cutoffs(eigsys: EigenSystem, f: GridFunction, p: float,
                       cutoffs, cache: ErrorCache | None = None) -> list[ApproxResult]:
     """The best-approximation result for E(f, omega, p) at each cutoff.
@@ -150,7 +157,6 @@ def a_norm_continuous(eigsys: EigenSystem, f: GridFunction, params: BesovParams,
     t_lo, t_hi = 1.0, 4.0 ** params.J
     if t_hi > eigsys.band_limit:
         raise ValueError("4^J exceeds the computed band limit")
-    model = eigsys.model
     lam = eigsys.eigenvalues
     p, q = params.p, params.q
     breaks = np.unique(np.concatenate([[t_lo, t_hi],
@@ -161,12 +167,12 @@ def a_norm_continuous(eigsys: EigenSystem, f: GridFunction, params: BesovParams,
         sup = 0.0
         for (a, b), e in zip(zip(breaks[:-1], breaks[1:]), evals):
             sup = max(sup, b ** expo * e)
-        return lp_norm(model, f, p) + sup
+        return _norm(eigsys, f, p, cache) + sup
     total = 0.0
     for (a, b), e in zip(zip(breaks[:-1], breaks[1:]), evals):
         if e > 0.0:
             total += e ** q * (b ** (expo * q) - a ** (expo * q)) / (expo * q)
-    return lp_norm(model, f, p) + total ** (1.0 / q)
+    return _norm(eigsys, f, p, cache) + total ** (1.0 / q)
 
 
 def _band_check(eigsys, f, cache):
@@ -244,7 +250,7 @@ def jackson_ratios(eigsys: EigenSystem, f: GridFunction, k: int, p: float,
     denom = lp_norm(model, rough, p)
     errors = [r.error for r in errors_at_cutoffs(
         eigsys, f, p, [4.0 ** j for j in range(J + 1)], cache)]
-    floor = 1e-12 * max(lp_norm(model, f, p), 1e-300)
+    floor = 1e-12 * max(_norm(eigsys, f, p, cache), 1e-300)
     if denom <= floor:
         # essentially constant f: errors must vanish too (up to roundoff)
         if max(errors) > floor:
@@ -318,4 +324,4 @@ def interpolation_norm(eigsys: EigenSystem, f: GridFunction, theta: float,
         K_T_GRID, k))
     weighted = K_T_GRID ** (-theta) * kvals
     integral = np.trapezoid(weighted ** 2, np.log(K_T_GRID))
-    return lp_norm(eigsys.model, f, 2) + float(integral ** 0.5)
+    return _norm(eigsys, f, 2.0, cache) + float(integral ** 0.5)

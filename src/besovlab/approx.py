@@ -25,13 +25,15 @@ included eigenfunctions, so each solve is a finite convex problem:
 
 Both linear programs run HiGHS's dual simplex (Huangfu & Hall 2018), whose
 bounded dual handles a two-sided row as one row with a boxed logical, through
-the HiGHS binding that scipy vendors (scipy.optimize._highspy), without
+the HiGHS binding that scipy vendors (scipy.optimize._highspy._core), without
 presolve, which finds nothing to remove in these dense programs; the
 p = inf program prices by Dantzig's rule rather than dual steepest edge.
 The binding is called directly because scipy's generic LP front end
 (linprog) takes only one-sided inequality rows, so the p = inf program would
 need two rows per node, and it validates and converts the dense arrays on
-every call, while passModel reads the numpy buffers as they are.
+every call, while passModel reads the numpy buffers as they are. The binding
+is one compiled extension module, loaded by its file once per process, since
+importing it by name first imports all of scipy.optimize.
 
 Every gap test of a solve uses one tolerance, tol = max(LP_TOL ||f||_p,
 the smallest normal float); the floor keeps it from underflowing for a
@@ -58,9 +60,15 @@ iterations. A failed HiGHS solve raises ``RuntimeError``.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy import linalg
 
 from .manifold import GridFunction, ManifoldModel, _weighted_norm
@@ -254,10 +262,7 @@ def _highs_solve(cost, a, col_lo, col_hi, row_lo, row_hi, dantzig):
     primal point, the row duals and the simplex iteration count, and raises
     ``RuntimeError`` for any status but optimal.
     """
-    # deferred: scipy.optimize is a third of the package import time and
-    # only the linear programs use it
-    from scipy.optimize._highspy import _core as highs
-
+    highs = _highs_binding()
     m, ncol = a.shape
     solver = highs._Highs()
     solver.setOptionValue("output_flag", False)
@@ -283,3 +288,25 @@ def _highs_solve(cost, a, col_lo, col_hi, row_lo, row_hi, dantzig):
     solution = solver.getSolution()
     return (np.array(solution.col_value), np.array(solution.row_dual),
             solver.getInfo().simplex_iteration_count)
+
+
+@functools.cache
+def _highs_binding():
+    """scipy's compiled HiGHS binding, scipy.optimize._highspy._core.
+
+    The module already imported, or else its extension file loaded under its
+    own name, which leaves scipy.optimize, whose import takes about 0.1 s
+    and 10 MB, unimported. A later import by name returns the same module.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_core" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no HiGHS binding _core<extension suffix> in {folder}")

@@ -91,6 +91,9 @@ OPTIONS = {
     "out": ("besovlab-out", str, "output directory"),
 }
 
+# the cutoffs of the Bernstein sweep that lie within the band
+BERNSTEIN_CUTOFFS = (4.0, 16.0, 64.0)
+
 # admissible values of each parameter grid; NaN fails every comparison
 _GRID_RULES = {"alpha": (lambda v: 0 < v < float("inf"), "positive and finite"),
                "p": (lambda v: v >= 1, "at least 1 (inf allowed)"),
@@ -180,6 +183,25 @@ def _check_corpus_resolved(cfg: dict, names: list[str]) -> None:
                 f"{cfg['nodes']} circle nodes cannot resolve frequency "
                 f"{entry.frequency} of corpus function {entry.id}; "
                 f"it needs more than {2 * entry.frequency} nodes")
+
+
+def _check_sobolev_order(cfg: dict, eigsys, names: list[str]) -> None:
+    """Reject a k for which the power of the largest eigenvalue the run
+    raises to it overflows a float: ``jackson`` raises eigenvalues up to the
+    band to k/2, ``besov`` to k, and ``bernstein`` those up to its top
+    cutoff to k."""
+    k, band = cfg["k"], eigsys.band_limit
+    powers = {"jackson": (band, k / 2), "besov": (band, k),
+              "bernstein": (min(BERNSTEIN_CUTOFFS[-1], band), k)}
+    for name in names:
+        if name in powers:
+            top, s = powers[name]
+            try:
+                top ** s
+            except OverflowError:
+                raise ConfigError(
+                    f"k is {k}; {name} raises eigenvalues up to {top:g} to the "
+                    f"power {s:g}, which overflows a float") from None
 
 
 def build_model_and_eigsys(cfg: dict, need_levels: bool = True):
@@ -376,7 +398,7 @@ def run_bernstein(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
     k = cfg["k"]
     rng = np.random.default_rng(cfg["seed"])
     # the spread check compares cutoffs, so the sweep needs at least two
-    omegas = [w for w in (4.0, 16.0, 64.0) if w <= eigsys.band_limit]
+    omegas = [w for w in BERNSTEIN_CUTOFFS if w <= eigsys.band_limit]
     if len(omegas) < 2:
         raise ConfigError(f"band {eigsys.band_limit:g} too small for a bernstein "
                           "sweep; it needs at least 16")
@@ -526,6 +548,7 @@ def main(argv=None) -> int:
         eigsys = None
         if args.command != "filters":   # the filter bank reads no model
             eigsys = build_model_and_eigsys(cfg, need_levels=needs_levels)
+            _check_sobolev_order(cfg, eigsys, names)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

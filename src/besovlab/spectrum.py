@@ -27,7 +27,6 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackError, eigsh, splu
-from scipy.special import gammaln, lpmv
 
 from .manifold import GridFunction, ManifoldModel
 from .mesh import cotangent_stiffness
@@ -155,6 +154,8 @@ def _torus_basis(model, band_limit):
 
 def real_spherical_harmonic(l: int, m: int, nodes: np.ndarray) -> np.ndarray:
     """Real orthonormal spherical harmonic of degree l, order m at unit vectors."""
+    from scipy.special import gammaln, lpmv
+
     x = np.clip(nodes[:, 2], -1.0, 1.0)          # cos(colatitude)
     phi = np.arctan2(nodes[:, 1], nodes[:, 0])
     am = abs(m)

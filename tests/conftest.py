@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import besovlab
 from besovlab.manifold import build_circle, build_sphere2, build_torus2
 from besovlab.mesh import icosphere, load_mesh, write_off
 from besovlab.spectrum import build_eigensystem
@@ -95,3 +100,18 @@ def icosphere3_es(icosphere3):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def fresh_python():
+    """Run code in a new interpreter that imports this besovlab; its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(besovlab.__file__)),
+         os.environ.get("PYTHONPATH", "")]))
+
+    def run(code):
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip()
+    return run

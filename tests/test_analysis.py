@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from besovlab.analysis import (BAND_CHECK, K_T_GRID, LP_BLOCKS, BesovParams,
-                               ErrorCache, a_norm, a_norm_continuous,
+from besovlab.analysis import (BAND_CHECK, K_T_GRID, LP_BLOCKS, LP_NORM,
+                               BesovParams, ErrorCache, a_norm, a_norm_continuous,
                                bandlimited_coefficients, bernstein_ratio,
                                errors_at_cutoffs, interpolation_norm,
                                is_bandlimited, jackson_ratios,
@@ -183,6 +183,41 @@ class TestANorm:
         f = lacunary(1.0, 5).build(es.model, es)
         a = a_norm(es, f, BesovParams(alpha=0.5, p=2.0, q=0.5, J=5))
         assert np.isfinite(a) and a > lp_norm(es.model, f, 2.0)
+
+    def test_function_norm_taken_once_per_p(self, circle512_es_1024, rng,
+                                            monkeypatch):
+        # a_norm and a_norm_continuous over an (alpha, q) grid, the
+        # interpolation norm and the Jackson floor on one cache take each
+        # ||f||_p once, and every value equals the cache-less one exactly
+        import besovlab.analysis as analysis
+        es = circle512_es_1024
+        funcs = [lacunary(1.0, 5).build(es.model, es), random_band(es, rng, 20)]
+        ps = (1.0, 2.0, 4.0)
+        grid = [BesovParams(alpha, p, q, 2) for p in ps
+                for alpha in (0.5, 1.0, 1.5) for q in (1.0, np.inf)]
+
+        def norms(f, cache=None):
+            return ([a_norm(es, f, params, cache) for params in grid]
+                    + [a_norm_continuous(es, f, params, cache) for params in grid]
+                    + [interpolation_norm(es, f, 0.5, 2, cache)]
+                    + [jackson_ratios(es, f, 2, p, 2, cache) for p in ps])
+
+        expected = [norms(f) for f in funcs]
+        taken = []
+        orig = analysis.lp_norm
+
+        def counting(model, g, p):
+            taken.append((g.values.tobytes(), float(p)))
+            return orig(model, g, p)
+
+        monkeypatch.setattr(analysis, "lp_norm", counting)
+        cache = ErrorCache()
+        assert [norms(f, cache) for f in funcs] == expected
+        own = [(f.values.tobytes(), p) for f in funcs for p in ps]
+        assert sorted(t for t in taken if t in own) == sorted(own)
+        for f in funcs:
+            for p in ps:
+                assert cache.lookup(es, f, p, LP_NORM) == orig(es.model, f, p)
 
 
 class TestANormContinuous:

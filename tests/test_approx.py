@@ -434,13 +434,49 @@ class TestCertifiedLP:
                 self.setOptionValue("simplex_iteration_limit", 0)
                 return super().run()
 
-        # the solver imports the binding on each LP solve, so patching its
-        # module attribute reaches it
+        # the solver reads _Highs from the binding module on each LP solve,
+        # and that module is the one imported here, so patching its attribute
+        # reaches it
         monkeypatch.setattr(highs, "_Highs", Limited)
         status = int(highs.HighsModelStatus.kIterationLimit)
         with pytest.raises(RuntimeError,
                            match=f"status {status}.*Iteration limit"):
             best_approx(es.model, es, f, 4.0, p)
+
+
+LOADER_SCRIPT = """
+import sys
+import numpy as np
+from besovlab import approx
+from besovlab.manifold import GridFunction, build_circle
+from besovlab.spectrum import build_eigensystem
+
+model = build_circle(128)
+es = build_eigensystem(model, 1000.0)
+f = GridFunction(model, np.sign(np.sin(model.nodes[:, 0])))
+for p in (1.0, np.inf):
+    res = approx.best_approx(model, es, f, 16.0, p)
+    assert res.solver == "lp-highs" and res.converged, res
+assert "scipy.optimize" not in sys.modules
+used = approx._highs_binding()
+import scipy.optimize._highspy._core
+import scipy.optimize._highspy._core as by_name
+from scipy.optimize._highspy import _core as from_package
+assert scipy.optimize._highspy._core is used
+assert by_name is used and from_package is used
+from scipy.optimize import linprog
+lp = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
+assert lp.status == 0 and lp.fun == 1.0, lp
+print("ok")
+"""
+
+
+def test_binding_loads_without_scipy_optimize(fresh_python):
+    # the endpoint LPs load HiGHS's binding by its file and leave
+    # scipy.optimize unimported; a later import by any spelling returns that
+    # module (the attribute path fails if the loader puts the module into
+    # sys.modules itself), and scipy's own linprog still solves
+    assert fresh_python(LOADER_SCRIPT) == "ok"
 
 
 @settings(max_examples=40, deadline=None)

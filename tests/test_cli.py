@@ -144,6 +144,37 @@ class TestConfig:
         assert f"jmax is {args[4]}; 4^jmax overflows a float" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["jackson", "--nodes", "256", "--k", "600"],
+         "k is 600; jackson raises eigenvalues up to 16129 to the power 300,"),
+        (["jackson", "--nodes", "256", "--k", "147"],
+         "k is 147; jackson raises eigenvalues up to 16129 to the power 73.5,"),
+        (["bernstein", "--nodes", "64", "--k", "200"],
+         "k is 200; bernstein raises eigenvalues up to 64 to the power 200,"),
+        (["besov", "--nodes", "256", "--jmax", "2", "--k", "80"],
+         "k is 80; besov raises eigenvalues up to 16129 to the power 80,"),
+        (["all", "--nodes", "128", "--jmax", "2", "--k", "200"],
+         "k is 200; jackson raises eigenvalues up to 3969 to the power 100,")])
+    def test_k_whose_power_overflows_is_config_error(self, tmp_path, capsys,
+                                                     args, message):
+        # lambda^k overflowed in apply_power and aborted the run with
+        # "coefficients contain non-finite entries", which does not name k
+        out = tmp_path / "o"
+        assert run_cli(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "overflows a float" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("args", [
+        ["jackson", "--nodes", "256", "--jmax", "2", "--k", "146"],
+        ["bernstein", "--nodes", "64", "--k", "170", "--trials", "2"],
+        ["approx", "--nodes", "128", "--jmax", "2", "--k", "600"]])
+    def test_largest_k_with_finite_powers_runs(self, tmp_path, args):
+        # 16129^73 and 64^170 are finite, and approx raises nothing to k
+        out = tmp_path / "o"
+        assert run_cli(args + ["--out", str(out)]) in (0, 1)
+        assert "aborted" not in json.loads((out / "report.json").read_text())
+
     def test_largest_finite_jmax_reaches_the_band_check(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert run_cli(["approx", "--nodes", "256", "--jmax", "511",
@@ -454,3 +485,11 @@ def test_besov_projects_each_function_once(tmp_path, monkeypatch):
                     "--alpha", "0.5,1,1.5", "--out", str(tmp_path / "out")])
     assert code == 0
     assert len(projected) == len(set(projected)) == len(default_corpus("circle"))
+
+
+def test_package_import_leaves_scipy_optimize_and_special_unimported(fresh_python):
+    # scipy.optimize (reached only through the LP binding, loaded by its
+    # file) and scipy.special (sphere bases only) stay out of the import
+    assert fresh_python("import sys, besovlab.cli; print([m for m in "
+                        "('scipy.optimize', 'scipy.special') if m in sys.modules])"
+                        ) == "[]"
