@@ -20,7 +20,7 @@ import numpy as np
 
 from .approx import ApproxResult, best_approx
 from .filters import f_j
-from .manifold import GridFunction, lp_norm
+from .manifold import GridFunction, _weighted_norm, lp_norm
 from .spectrum import CoefVector, EigenSystem, apply_power, project, synthesize
 
 BAND_TOL = 1e-8  # relative tolerance of every bandlimited test
@@ -50,18 +50,6 @@ class BesovParams:
             raise ValueError("J must be at least 1")
 
 
-def _q_sum(terms: np.ndarray, q: float) -> float:
-    terms = np.asarray(terms, dtype=float)
-    if len(terms) == 0:
-        return 0.0
-    if np.isinf(q):
-        return float(terms.max())
-    m = terms.max()
-    if m == 0.0:
-        return 0.0
-    return float(m * ((terms / m) ** q).sum() ** (1.0 / q))
-
-
 def a_norm(eigsys: EigenSystem, f: GridFunction, params: BesovParams,
            cache: ErrorCache | None = None) -> float:
     """Dyadic approximation norm truncated at level J.
@@ -73,8 +61,10 @@ def a_norm(eigsys: EigenSystem, f: GridFunction, params: BesovParams,
         raise ValueError("4^J exceeds the computed band limit")
     errors = [r.error for r in errors_at_cutoffs(
         eigsys, f, params.p, [4.0 ** j for j in range(params.J + 1)], cache)]
-    terms = [2.0 ** (params.alpha * j) * errors[j] for j in range(params.J + 1)]
-    return _norm(eigsys, f, params.p, cache) + _q_sum(np.array(terms), params.q)
+    terms = np.array([2.0 ** (params.alpha * j) * errors[j]
+                      for j in range(params.J + 1)])
+    return (_norm(eigsys, f, params.p, cache)
+            + _weighted_norm(np.ones(len(terms)), terms, params.q))
 
 
 class ErrorCache:
@@ -232,8 +222,9 @@ def lp_comparator_norm(eigsys: EigenSystem, f: GridFunction,
         return tuple(lp_norm(model, g, params.p) for g in blocks)
 
     norms = _get(cache, eigsys, f, params.p, LP_BLOCKS, block_norms)
-    terms = [2.0 ** (params.alpha * j) * norms[j] for j in range(1, len(norms))]
-    return norms[0] + _q_sum(np.array(terms), params.q)
+    terms = np.array([2.0 ** (params.alpha * j) * norms[j]
+                      for j in range(1, len(norms))])
+    return norms[0] + _weighted_norm(np.ones(len(terms)), terms, params.q)
 
 
 def jackson_ratios(eigsys: EigenSystem, f: GridFunction, k: int, p: float,

@@ -42,7 +42,7 @@ from .analysis import (BesovParams, ErrorCache, a_norm, a_norm_continuous,
                        jackson_ratios, lp_comparator_norm)
 from .filters import F, check_partition, f_j
 from .manifold import (GridFunction, build_circle, build_sphere2, build_torus2,
-                       lp_norm)
+                       lp_norm, resolved_frequency)
 from .mesh import load_mesh
 from .operators import (KernelMatrix, build_kernel, fit_decay_constant,
                         operator_norm_estimate, weighted_decay_integral,
@@ -64,9 +64,9 @@ def _grid(text: str) -> list[float]:
 # rebinding of those names (the benchmark's tracer) sees every build.
 MANIFOLDS = {
     "circle": lambda cfg: (build_circle(cfg["nodes"]),
-                           float(cfg["nodes"] // 2 - 1) ** 2),
+                           float(resolved_frequency(cfg["nodes"])) ** 2),
     "torus2": lambda cfg: (build_torus2(cfg["nodes"]),
-                           float(cfg["nodes"] // 2 - 1) ** 2),
+                           float(resolved_frequency(cfg["nodes"])) ** 2),
     "sphere2": lambda cfg: (build_sphere2(cfg["nodes"]),
                             float(cfg["nodes"] * (cfg["nodes"] + 1))),
     "mesh": lambda cfg: (load_mesh(cfg["mesh"]), 4.0 ** cfg["jmax"]),
@@ -178,7 +178,8 @@ def _check_corpus_resolved(cfg: dict, names: list[str]) -> None:
     if "jackson" in names:
         entries.append(_jackson_entry(cfg, "circle"))
     for entry in entries:
-        if entry.frequency is not None and 2 * entry.frequency >= cfg["nodes"]:
+        if (entry.frequency is not None
+                and entry.frequency > resolved_frequency(cfg["nodes"])):
             raise ConfigError(
                 f"{cfg['nodes']} circle nodes cannot resolve frequency "
                 f"{entry.frequency} of corpus function {entry.id}; "

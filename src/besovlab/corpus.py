@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifold import GridFunction, ManifoldModel
+from .manifold import GridFunction, ManifoldModel, resolved_frequency
 from .spectrum import CoefVector, EigenSystem, synthesize
 
 
@@ -24,8 +24,8 @@ class CorpusEntry:
     known_coefficients: object = None  # callable (eigsys) -> ndarray, or None
     expected_rate: float | None = None
     params: dict = field(default_factory=dict)
-    # highest circle frequency the builder samples: a circle resolves it
-    # with more than twice as many nodes
+    # highest circle frequency the builder samples; ``resolved_frequency``
+    # says which circles resolve it
     frequency: int | None = None
 
     def build(self, model: ManifoldModel, eigsys: EigenSystem | None = None) -> GridFunction:
@@ -51,7 +51,7 @@ def lacunary(alpha: float, M: int) -> CorpusEntry:
 
     def build(model, eigsys=None):
         _require_circle(model)
-        if 2 * 2 ** M >= model.n_nodes:
+        if 2 ** M > resolved_frequency(model.n_nodes):
             raise ValueError(f"frequency 2^{M} unresolved by {model.n_nodes} nodes")
         x = model.nodes[:, 0]
         vals = np.zeros(model.n_nodes)

@@ -2,7 +2,9 @@
 
 Every model is a finite quadrature rule (nodes x_i, weights w_i > 0) together
 with a pairwise geodesic distance, so that all L_p norms become weighted sums
-and the L_infty norm is the node maximum.
+and the L_infty norm is the node maximum. Each builder hands the model its
+own distance rule. The circle and the flat 2-torus are one family, the flat
+torus T^d on a tensor grid of equispaced angles, for d = 1 and 2.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import numpy as np
 class ManifoldModel:
     """Quadrature nodes, weights and geodesic distances of a compact manifold.
 
-    The geodesics are read through ``distance_matrix()``, which builds the
-    full n x n matrix on first use and caches it.
+    The geodesics are read through ``distance_matrix()``, which applies the
+    model's distance rule on first use and caches the n x n matrix.
 
     Parameters
     ----------
@@ -33,14 +35,18 @@ class ManifoldModel:
     params : dict
         Constructor parameters: grid sizes, or a mesh's vertex and face
         counts (not its file path, so that no output depends on where the
-        mesh file sits). The torus and sphere eigensystems read their grid
-        sizes here, and ``save_eigensystem`` echoes them.
+        mesh file sits). The sphere eigensystem reads its band here, and
+        ``save_eigensystem`` echoes them.
     faces : ndarray, optional
         Triangles of a ``mesh`` model, one row of three vertex indices per
-        face. Mesh geodesics are shortest paths on the edge graph.
+        face.
+    distance : callable, optional
+        The distance rule: maps the node array to the full pairwise geodesic
+        distance matrix. A model without one has no geodesics.
     """
 
-    def __init__(self, kind, dim, nodes, weights, params=None, faces=None):
+    def __init__(self, kind, dim, nodes, weights, params=None, faces=None,
+                 distance=None):
         self.kind = kind
         self.dim = int(dim)
         self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
@@ -52,6 +58,7 @@ class ManifoldModel:
         self.total_measure = float(self.weights.sum())
         self.params = dict(params or {})
         self.faces = faces
+        self._distance = distance
         self._dist = None
 
     @property
@@ -61,30 +68,12 @@ class ManifoldModel:
     def distance_matrix(self) -> np.ndarray:
         """Full pairwise geodesic distance matrix (cached, exact zero diagonal)."""
         if self._dist is None:
-            if self.kind == "mesh":
-                from . import mesh  # deferred: mesh imports this module
-                self._dist = mesh.edge_graph_distances(self.nodes, self.faces)
-            else:
-                d = self._pairwise()
-                np.fill_diagonal(d, 0.0)
-                self._dist = d
+            if self._distance is None:
+                raise ValueError(f"no distance rule for kind {self.kind!r}")
+            d = self._distance(self.nodes)
+            np.fill_diagonal(d, 0.0)
+            self._dist = d
         return self._dist
-
-    def _pairwise(self) -> np.ndarray:
-        x = self.nodes
-        if self.kind == "circle":
-            diff = np.abs(x[:, 0][:, None] - x[:, 0][None, :])
-            return np.minimum(diff, 2 * np.pi - diff)
-        if self.kind == "torus2":
-            out = np.zeros((self.n_nodes, self.n_nodes))
-            for c in range(2):
-                diff = np.abs(x[:, c][:, None] - x[:, c][None, :])
-                out += np.minimum(diff, 2 * np.pi - diff) ** 2
-            return np.sqrt(out)
-        if self.kind == "sphere2":
-            dots = np.clip(x @ x.T, -1.0, 1.0)
-            return np.arccos(dots)
-        raise ValueError(f"no coordinate distance rule for kind {self.kind!r}")
 
     def __repr__(self):
         return (f"ManifoldModel(kind={self.kind!r}, dim={self.dim}, "
@@ -109,39 +98,58 @@ class GridFunction:
             raise ValueError("grid function contains non-finite samples")
 
 
+def resolved_frequency(n_per_dim: int) -> int:
+    """Highest frequency m that n equispaced nodes per dimension resolve.
+
+    The grid resolves m exactly when 2m < n: then every product of two modes
+    of frequency at most m stays below its Nyquist frequency, so the
+    trapezoid rule integrates it exactly.
+    """
+    return (n_per_dim - 1) // 2
+
+
 def build_circle(n_nodes: int) -> ManifoldModel:
-    """Unit circle with equispaced nodes and trapezoid weights 2*pi/n.
+    """Unit circle, the flat torus T^1: equispaced angles, weights 2*pi/n.
 
     Geodesic distance is the wrap-around arc length
     min(|x - y|, 2*pi - |x - y|).
     """
-    if n_nodes < 8:
-        raise ValueError("circle needs at least 8 nodes")
-    if n_nodes % 2 != 0:
-        raise ValueError("n_nodes must be even")
-    angles = 2 * np.pi * np.arange(n_nodes) / n_nodes
-    weights = np.full(n_nodes, 2 * np.pi / n_nodes)
-    return ManifoldModel("circle", 1, angles[:, None], weights,
-                         params={"n_nodes": n_nodes})
+    return _flat_torus("circle", 1, n_nodes, "n_nodes")
 
 
 def build_torus2(n_per_dim: int) -> ManifoldModel:
-    """Flat 2-torus as a product of two unit circles.
+    """Flat 2-torus T^2, the product of two unit circles.
 
     Nodes are the tensor grid of two equispaced circles, weights (2*pi/n)^2,
     and the distance is the Euclidean norm of the per-coordinate circle
     distances.
     """
-    if n_per_dim < 8:
-        raise ValueError("torus needs at least 8 nodes per dimension")
-    if n_per_dim % 2 != 0:
-        raise ValueError("n_per_dim must be even")
-    ang = 2 * np.pi * np.arange(n_per_dim) / n_per_dim
-    xx, yy = np.meshgrid(ang, ang, indexing="ij")
-    nodes = np.column_stack([xx.ravel(), yy.ravel()])
-    weights = np.full(n_per_dim ** 2, (2 * np.pi / n_per_dim) ** 2)
-    return ManifoldModel("torus2", 2, nodes, weights,
-                         params={"n_per_dim": n_per_dim})
+    return _flat_torus("torus2", 2, n_per_dim, "n_per_dim")
+
+
+def _flat_torus(kind: str, dim: int, n: int, param: str) -> ManifoldModel:
+    """T^dim on the tensor grid of n equispaced angles per coordinate."""
+    if n < 8:
+        raise ValueError(f"{kind} needs at least 8 nodes per dimension")
+    if n % 2 != 0:
+        raise ValueError(f"{param} must be even")
+    ang = 2 * np.pi * np.arange(n) / n
+    grid = np.meshgrid(*[ang] * dim, indexing="ij")
+    nodes = np.column_stack([g.ravel() for g in grid])
+    weights = np.full(n ** dim, (2 * np.pi / n) ** dim)
+    return ManifoldModel(kind, dim, nodes, weights, params={param: n},
+                         distance=_flat_torus_distances)
+
+
+def _flat_torus_distances(x: np.ndarray) -> np.ndarray:
+    """sqrt(sum_c min(d_c, 2*pi - d_c)^2) over the coordinate differences
+    d_c; for one coordinate this is min(d, 2*pi - d) exactly."""
+    out = np.zeros((len(x), len(x)))
+    for c in range(x.shape[1]):
+        d = np.abs(x[:, c][:, None] - x[:, c][None, :])
+        np.minimum(d, 2 * np.pi - d, out=d)
+        out += np.square(d, out=d)
+    return np.sqrt(out, out=out)
 
 
 def build_sphere2(band: int) -> ManifoldModel:
@@ -167,7 +175,13 @@ def build_sphere2(band: int) -> ManifoldModel:
     nodes = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
     weights = np.outer(wx, np.full(n_phi, 2 * np.pi / n_phi)).ravel()
     return ManifoldModel("sphere2", 2, nodes, weights,
-                         params={"band": band, "n_theta": n_theta, "n_phi": n_phi})
+                         params={"band": band, "n_theta": n_theta, "n_phi": n_phi},
+                         distance=_sphere_distances)
+
+
+def _sphere_distances(x: np.ndarray) -> np.ndarray:
+    """Great-circle distances arccos(<x, y>) between unit vectors."""
+    return np.arccos(np.clip(x @ x.T, -1.0, 1.0))
 
 
 def lp_norm(model: ManifoldModel, f: GridFunction, p: float) -> float:
@@ -182,11 +196,9 @@ def lp_norm(model: ManifoldModel, f: GridFunction, p: float) -> float:
 def _weighted_norm(w: np.ndarray, values: np.ndarray, p: float) -> float:
     """(sum_i w_i |v_i|^p)^(1/p), node max for p=inf; no argument checks."""
     a = np.abs(values)
-    if np.isinf(p):
-        return float(a.max()) if len(a) else 0.0
-    m = a.max()
-    if m == 0.0:
-        return 0.0
+    m = a.max() if len(a) else 0.0
+    if np.isinf(p) or m == 0.0:
+        return float(m)
     # factor out the max to keep a^p in range for large p
     return float(m * (w @ (a / m) ** p) ** (1.0 / p))
 

@@ -93,15 +93,6 @@ def _check_closed_manifold(faces: np.ndarray) -> None:
             f"{sorted(set(counts.tolist()) - {2})} triangles")
 
 
-def lumped_vertex_areas(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    """Barycentric vertex areas: each triangle gives a third to each corner."""
-    areas = triangle_areas(verts, faces)
-    w = np.zeros(len(verts))
-    for c in range(3):
-        np.add.at(w, faces[:, c], areas / 3.0)
-    return w
-
-
 def edge_graph_distances(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """All-pairs shortest-path distances on the edge graph (Dijkstra)."""
     i = np.concatenate([faces[:, 0], faces[:, 1], faces[:, 2]])
@@ -139,9 +130,10 @@ def cotangent_stiffness(verts: np.ndarray, faces: np.ndarray) -> sparse.csr_matr
 def load_mesh(path) -> ManifoldModel:
     """Load a closed manifold triangle mesh (ASCII OFF) as a 2-manifold model.
 
-    Weights are lumped barycentric vertex areas; the geodesic distance is the
-    shortest path on the edge graph with Euclidean edge lengths, computed by
-    the model on first use.
+    Weights are lumped barycentric vertex areas: each triangle gives a third
+    of its area to each corner. The geodesic distance is the shortest path on
+    the edge graph with Euclidean edge lengths, computed by the model on
+    first use.
     """
     with open(path) as fh:
         verts, faces = parse_off(fh.read())
@@ -150,10 +142,15 @@ def load_mesh(path) -> ManifoldModel:
     if len(bad):
         raise MeshFormatError(f"degenerate triangle(s) at face index {bad[:5].tolist()}")
     _check_closed_manifold(faces)
-    weights = lumped_vertex_areas(verts, faces)
+    weights = np.zeros(len(verts))
+    for c in range(3):
+        np.add.at(weights, faces[:, c], areas / 3.0)
+    # the rule looks edge_graph_distances up when it runs, so a rebinding of
+    # that name is seen
     return ManifoldModel("mesh", 2, verts, weights,
                          params={"n_vertices": len(verts), "n_faces": len(faces)},
-                         faces=faces)
+                         faces=faces,
+                         distance=lambda x: edge_graph_distances(x, faces))
 
 
 def icosphere(level: int) -> tuple[np.ndarray, np.ndarray]:

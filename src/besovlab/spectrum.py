@@ -2,8 +2,10 @@
 
 Each basis builder returns its eigenvalues, labels and n x K eigenfunction
 array already in final order: ascending eigenvalue, ties broken by label.
-Analytic bases are used on the circle, torus and sphere; the circle and the
-torus share one table of Fourier columns per coordinate. Triangle meshes get
+Analytic bases are used on the flat torus and the sphere. On the flat torus
+T^d (the circle for d = 1) the basis is the products of one Fourier column
+per coordinate; the circle's is the one table itself, uncopied, with labels
+``("const",)`` and ``("cos", k)``/``("sin", k)``. Triangle meshes get
 the generalized eigenproblem S u = lam M u of the cotangent stiffness S and
 the lumped mass M, solved in its symmetric form A y = lam y with
 A = M^-1/2 S M^-1/2 and u = M^-1/2 y. The eigenvalues under the band limit
@@ -28,7 +30,7 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackError, eigsh, splu
 
-from .manifold import GridFunction, ManifoldModel
+from .manifold import GridFunction, ManifoldModel, resolved_frequency
 from .mesh import cotangent_stiffness
 
 
@@ -57,6 +59,9 @@ class EigenSystem:
             raise ValueError("eigenvalues must be ascending")
         if self.eigenfunctions.shape != (self.model.n_nodes, len(self.eigenvalues)):
             raise ValueError("eigenfunction matrix shape mismatch")
+        if len(self.labels) != len(self.eigenvalues):
+            raise ValueError(f"{len(self.labels)} labels for "
+                             f"{len(self.eigenvalues)} eigenpairs")
 
     @property
     def n_eigen(self) -> int:
@@ -90,17 +95,15 @@ class CoefVector:
 def build_eigensystem(model: ManifoldModel, band_limit: float) -> EigenSystem:
     """All eigenpairs with eigenvalue <= band_limit on the given model.
 
-    Rejects band limits the quadrature cannot resolve: on the circle/torus
-    every product of two included basis functions must stay below the grid
-    Nyquist frequency (2*max_frequency < nodes per dimension), on the sphere
-    the top harmonic degree must not exceed the quadrature band.
+    Rejects band limits the quadrature cannot resolve: on the flat torus the
+    top frequency must be one ``resolved_frequency`` allows (every product of
+    two included basis functions stays below the grid Nyquist frequency), on
+    the sphere the top harmonic degree must not exceed the quadrature band.
     """
     if not 0 < band_limit < np.inf:
         raise ValueError(f"band_limit must be positive and finite, not {band_limit}")
-    if model.kind == "circle":
-        lam, labels, funcs = _circle_basis(model, band_limit)
-    elif model.kind == "torus2":
-        lam, labels, funcs = _torus_basis(model, band_limit)
+    if model.kind in ("circle", "torus2"):
+        lam, labels, funcs = _flat_torus_basis(model, band_limit)
     elif model.kind == "sphere2":
         lam, labels, funcs = _sphere_basis(model, band_limit)
     elif model.kind == "mesh":
@@ -125,31 +128,28 @@ def _fourier_table(angles: np.ndarray, m_max: int):
     return table, freqs, labels
 
 
-def _circle_basis(model, band_limit):
-    n = model.n_nodes
+def _flat_torus_basis(model, band_limit):
+    n = round(model.n_nodes ** (1.0 / model.dim))      # nodes per dimension
     m_max = int(np.floor(np.sqrt(band_limit) + 1e-9))
-    if 2 * m_max >= n:
+    if m_max > resolved_frequency(n):
         raise ValueError(
-            f"band_limit {band_limit} needs frequency {m_max}, "
-            f"unresolved by {n} nodes (need 2*m < n)")
-    table, freqs, labels = _fourier_table(model.nodes[:, 0], m_max)
-    return (freqs ** 2).astype(float), [("const",)] + labels[1:], table
-
-
-def _torus_basis(model, band_limit):
-    n = model.params["n_per_dim"]
-    m_max = int(np.floor(np.sqrt(band_limit) + 1e-9))
-    if 2 * m_max >= n:
-        raise ValueError(
-            f"band_limit {band_limit} needs per-dimension frequency {m_max}, "
-            f"unresolved by {n} nodes per dimension")
-    tx, freqs, labels = _fourier_table(model.nodes[:, 0], m_max)
-    ty = _fourier_table(model.nodes[:, 1], m_max)[0]
-    lam = (freqs[:, None] ** 2 + freqs[None, :] ** 2).astype(float)
-    pairs = sorted(zip(*np.nonzero(lam <= band_limit)),
-                   key=lambda ij: (lam[ij], labels[ij[0]], labels[ij[1]]))
-    i, j = np.array(pairs).T
-    return lam[i, j], [(labels[a], labels[b]) for a, b in pairs], tx[:, i] * ty[:, j]
+            f"band_limit {band_limit} needs frequency {m_max}, unresolved by "
+            f"{n} nodes per dimension (need 2*m < n)")
+    tables = [_fourier_table(model.nodes[:, c], m_max) for c in range(model.dim)]
+    _, freqs, labels = tables[0]
+    lam = sum(np.ix_(*[freqs ** 2] * model.dim)).astype(float)
+    if model.dim == 1:
+        # the table's columns ascend by (eigenvalue, label) already: the
+        # basis is a prefix of it, and each label names its one factor
+        k = int(np.count_nonzero(lam <= band_limit))
+        return lam[:k], [("const",)] + labels[1:k], tables[0][0][:, :k]
+    picks = sorted(zip(*np.nonzero(lam <= band_limit)),
+                   key=lambda ix: (lam[ix], [labels[a] for a in ix]))
+    idx = tuple(np.array(picks).T)
+    funcs = tables[0][0][:, idx[0]]
+    for (table, _, _), ix in zip(tables[1:], idx[1:]):
+        funcs *= table[:, ix]
+    return lam[idx], [tuple(labels[a] for a in ix) for ix in picks], funcs
 
 
 def real_spherical_harmonic(l: int, m: int, nodes: np.ndarray) -> np.ndarray:

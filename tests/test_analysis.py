@@ -332,6 +332,15 @@ class TestComparatorNorm:
         params = BesovParams(alpha=1.0, p=2.0, q=2.0, J=5)
         assert lp_comparator_norm(es, f, params) == 0.0
 
+    @pytest.mark.parametrize("q", [0.5, 2.0, np.inf])
+    def test_band_below_one_holds_block_zero_alone(self, q):
+        # no block j >= 1 fits under the band: the sum over them is empty
+        es = build_eigensystem(build_circle(8), 0.5)
+        f = GridFunction(es.model, np.full(8, 2.0))
+        params = BesovParams(alpha=1.0, p=2.0, q=q, J=1)
+        assert lp_comparator_norm(es, f, params) == pytest.approx(
+            lp_norm(es.model, f, 2.0), rel=1e-12)
+
     def test_corpus_equivalence_constant(self, circle512_es_1024):
         # recorded constant: observed c ~ 4.6 at this scale, asserted < 50
         es = circle512_es_1024

@@ -12,6 +12,13 @@ def test_model_rejects_a_weight_not_positive_and_finite(bad):
         ManifoldModel("circle", 1, np.arange(4.0)[:, None], weights)
 
 
+def test_model_without_a_distance_rule_raises_naming_its_kind():
+    model = ManifoldModel("hand-built", 1, np.arange(4.0)[:, None], np.ones(4))
+    assert model.total_measure == 4.0
+    with pytest.raises(ValueError, match="no distance rule for kind 'hand-built'"):
+        model.distance_matrix()
+
+
 class TestCircle:
     def test_total_measure(self):
         m = build_circle(8)
@@ -24,6 +31,16 @@ class TestCircle:
     def test_wraparound_distance(self, circle1024):
         # nodes 0 and 3*pi/2 wrap to pi/2
         assert circle1024.distance_matrix()[0, 768] == pytest.approx(np.pi / 2)
+
+    @pytest.mark.parametrize("n", [8, 66, 512])
+    def test_distance_is_the_wraparound_arc_bitwise(self, n):
+        # the flat-torus rule sqrt(sum_c min(d_c, 2 pi - d_c)^2) over one
+        # coordinate: sqrt(x^2) == |x| holds exactly in IEEE arithmetic
+        x = build_circle(n).nodes[:, 0]
+        diff = np.abs(x[:, None] - x[None, :])
+        arc = np.minimum(diff, 2 * np.pi - diff)
+        np.fill_diagonal(arc, 0.0)
+        assert build_circle(n).distance_matrix().tobytes() == arc.tobytes()
 
     def test_rejects_small_and_odd(self):
         with pytest.raises(ValueError):

@@ -8,13 +8,13 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from besovlab import spectrum
+from besovlab import cli, spectrum
 from besovlab.cli import main
 from besovlab.manifold import (GridFunction, build_circle, build_sphere2,
-                               build_torus2, lp_norm)
+                               build_torus2, lp_norm, resolved_frequency)
 from besovlab.mesh import cotangent_stiffness, icosphere, load_mesh, write_off
-from besovlab.spectrum import (CoefVector, apply_power, build_eigensystem,
-                               check_orthonormality, project,
+from besovlab.spectrum import (CoefVector, EigenSystem, apply_power,
+                               build_eigensystem, check_orthonormality, project,
                                real_spherical_harmonic, save_eigensystem,
                                synthesize)
 
@@ -40,6 +40,14 @@ class TestBuild:
             u0 = es.eigenfunctions[:, 0]
             assert np.ptp(u0) < 1e-8 * np.abs(u0).max()
 
+    @pytest.mark.parametrize("build", [build_circle, build_torus2])
+    def test_no_eigenvalue_above_the_band(self, build):
+        # the frequency cap rounds sqrt(band) up by 1e-9, so 4 - 1e-12 caps
+        # the frequency at 2, whose eigenvalue 4 lies above the band
+        es = build_eigensystem(build(16), 4.0 - 1e-12)
+        assert es.eigenvalues[-1] < 4.0
+        assert es.cutoff_index(es.band_limit) == es.n_eigen
+
     def test_rejects_unresolved_band(self):
         m = build_circle(64)
         with pytest.raises(ValueError, match="unresolved"):
@@ -52,6 +60,47 @@ class TestBuild:
                           if m1 * m1 + m2 * m2 <= 8
                           for _ in range(max(1, 2 * (m1 > 0)) * max(1, 2 * (m2 > 0))))
         assert es.eigenvalues.tolist() == [float(v) for v in expected]
+
+    def test_rejects_a_label_count_other_than_the_eigenpair_count(self):
+        es = build_eigensystem(build_circle(64), 10.0)
+        for labels in (es.labels[:-1], es.labels + [("cos", 4)]):
+            with pytest.raises(ValueError, match=f"{len(labels)} labels for 7"):
+                EigenSystem(es.model, es.eigenvalues, es.eigenfunctions,
+                            es.band_limit, labels)
+
+
+class _Resolved(Exception):
+    pass
+
+
+class TestResolution:
+    """n nodes per dimension resolve frequency m exactly when 2m < n."""
+
+    @pytest.mark.parametrize("n", [8, 66, 512])
+    def test_rule(self, n):
+        assert resolved_frequency(n) == n // 2 - 1
+        assert 2 * resolved_frequency(n) < n <= 2 * (resolved_frequency(n) + 1)
+
+    @pytest.mark.parametrize("kind", ["circle", "torus2"])
+    @pytest.mark.parametrize("n", [8, 66, 512])
+    def test_default_band_builds_and_half_the_grid_is_unresolved(
+            self, monkeypatch, kind, n):
+        model, band = cli.MANIFOLDS[kind]({"nodes": n})
+        assert band == float(resolved_frequency(n)) ** 2
+        with pytest.raises(ValueError, match="unresolved"):
+            build_eigensystem(model, (n / 2) ** 2)
+        if kind == "torus2" and n > 8:
+            # the full basis (over 3000 columns on 4356 nodes at n = 66)
+            # does not fit a test: stop right after the resolution check
+            def resolved(angles, m_max):
+                raise _Resolved(m_max)
+
+            monkeypatch.setattr(spectrum, "_fourier_table", resolved)
+            with pytest.raises(_Resolved):
+                build_eigensystem(model, band)
+            return
+        es = build_eigensystem(model, band)
+        assert es.eigenvalues[-1] == band
 
 
 class TestBandLimitGuard:
