@@ -5,7 +5,9 @@ array already in final order: ascending eigenvalue, ties broken by label.
 Analytic bases are used on the flat torus and the sphere. On the flat torus
 T^d (the circle for d = 1) the basis is the products of one Fourier column
 per coordinate; the circle's is the one table itself, uncopied, with labels
-``("const",)`` and ``("cos", k)``/``("sin", k)``. Triangle meshes get
+``("const",)`` and ``("cos", k)``/``("sin", k)``. On the sphere it is the
+real spherical harmonics, their associated Legendre factors computed by one
+three-term recurrence in the degree per order. Triangle meshes get
 the generalized eigenproblem S u = lam M u of the cotangent stiffness S and
 the lumped mass M, solved in its symmetric form A y = lam y with
 A = M^-1/2 S M^-1/2 and u = M^-1/2 y. The eigenvalues under the band limit
@@ -120,8 +122,11 @@ def _fourier_table(angles: np.ndarray, m_max: int):
     phase = np.outer(angles, m)
     table = np.empty((len(angles), 2 * m_max + 1))
     table[:, 0] = 1.0 / np.sqrt(2 * np.pi)
-    table[:, 1::2] = np.cos(phase) / np.sqrt(np.pi)
-    table[:, 2::2] = np.sin(phase) / np.sqrt(np.pi)
+    # written and scaled in place, with no n x m_max temporaries; dividing
+    # rather than multiplying by the reciprocal keeps every bit
+    np.cos(phase, out=table[:, 1::2])
+    np.sin(phase, out=table[:, 2::2])
+    table[:, 1:] /= np.sqrt(np.pi)
     freqs = (np.arange(2 * m_max + 1) + 1) // 2
     labels = [("const", 0)] + [(kind, k) for k in range(1, m_max + 1)
                                for kind in ("cos", "sin")]
@@ -152,23 +157,6 @@ def _flat_torus_basis(model, band_limit):
     return lam[idx], [tuple(labels[a] for a in ix) for ix in picks], funcs
 
 
-def real_spherical_harmonic(l: int, m: int, nodes: np.ndarray) -> np.ndarray:
-    """Real orthonormal spherical harmonic of degree l, order m at unit vectors."""
-    from scipy.special import gammaln, lpmv
-
-    x = np.clip(nodes[:, 2], -1.0, 1.0)          # cos(colatitude)
-    phi = np.arctan2(nodes[:, 1], nodes[:, 0])
-    am = abs(m)
-    log_norm = 0.5 * (np.log(2 * l + 1.0) - np.log(4 * np.pi)
-                      + gammaln(l - am + 1) - gammaln(l + am + 1))
-    vals = np.exp(log_norm) * lpmv(am, l, x)
-    if m == 0:
-        return vals
-    if m > 0:
-        return np.sqrt(2.0) * vals * np.cos(m * phi)
-    return np.sqrt(2.0) * vals * np.sin(am * phi)
-
-
 def _sphere_basis(model, band_limit):
     band = model.params["band"]
     l_max = int(np.floor(0.5 * (np.sqrt(1 + 4 * band_limit) - 1) + 1e-9))
@@ -178,8 +166,36 @@ def _sphere_basis(model, band_limit):
             f"beyond the quadrature band {band}")
     labels = [("ylm", l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
     lam = np.array([l * (l + 1) for _, l, _ in labels], dtype=float)
-    funcs = np.array([real_spherical_harmonic(l, m, model.nodes)
-                      for _, l, m in labels]).T
+    x = np.clip(model.nodes[:, 2], -1.0, 1.0)          # cos(colatitude)
+    sin_theta = np.sqrt((1.0 - x) * (1.0 + x))
+    phi = np.arctan2(model.nodes[:, 1], model.nodes[:, 0])
+    # column l^2 + l + m holds Y_lm: P_lm(x) for m = 0, sqrt(2) P_lm(x)
+    # cos(m phi) for m > 0 and sqrt(2) P_l|m|(x) sin(|m| phi) for m < 0, with
+    # P_lm the associated Legendre function normalized to unit L_2 norm of
+    # P_lm(x) e^{i m phi} on the sphere, Condon-Shortley sign included
+    funcs = np.empty((len(x), len(labels)))
+    diagonal = np.full(len(x), 1.0 / np.sqrt(4 * np.pi))   # P_00
+    for m in range(l_max + 1):
+        if m:
+            diagonal = -np.sqrt((2 * m + 1) / (2 * m)) * sin_theta * diagonal
+            cos_m = np.sqrt(2.0) * np.cos(m * phi)
+            sin_m = np.sqrt(2.0) * np.sin(m * phi)
+        # one three-term recurrence in l per order m:
+        # P_lm = a (x P_{l-1,m} - b P_{l-2,m}), a = sqrt((4l^2 - 1)/(l^2 - m^2)),
+        # b = sqrt(((l-1)^2 - m^2) / (4(l-1)^2 - 1)), from P_mm and
+        # P_{m-1,m} = 0 (b is 0 at l = m + 1)
+        before, current = 0.0, diagonal
+        for l in range(m, l_max + 1):
+            if l > m:
+                a = np.sqrt((4 * l * l - 1) / (l * l - m * m))
+                b = np.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
+                before, current = current, a * (x * current - b * before)
+            centre = l * l + l
+            if m:
+                funcs[:, centre + m] = current * cos_m
+                funcs[:, centre - m] = current * sin_m
+            else:
+                funcs[:, centre] = current
     return lam, labels, funcs
 
 

@@ -661,3 +661,117 @@ class TestCertifiedNewton:
             assert res.solver == "projection" and res.converged
             assert res.lower_bound <= res.error + 1e-12 * fnorm
             assert res.error - res.lower_bound <= LP_TOL * fnorm
+
+
+@pytest.fixture
+def highs_runs(monkeypatch):
+    """(rows, status, simplex iterations) of every HiGHS run, in order."""
+    runs = []
+
+    class Recording(highs._Highs):
+        def run(self):
+            status = super().run()
+            runs.append((self.getNumRow(), self.getModelStatus(),
+                         self.getInfo().simplex_iteration_count))
+            return status
+
+    monkeypatch.setattr(highs, "_Highs", Recording)
+    return runs
+
+
+def solve_on_all_rows(es, f, omega):
+    """best_approx at p = inf with the program on every node from the
+    start, through the same _highs_solve given no working set."""
+    solve = approx._highs_solve
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(approx, "_highs_solve", lambda *args: solve(*args[:7]))
+        return best_approx(es.model, es, f, omega, np.inf)
+
+
+@pytest.fixture(scope="module")
+def working_set_systems(circle256_es, torus16_es, sphere16_es, icosphere3_es):
+    return {"circle": circle256_es, "torus2": torus16_es,
+            "sphere2": sphere16_es, "mesh": icosphere3_es}
+
+
+class TestWorkingSet:
+    def test_square_wave_is_certified_on_a_working_set(self, circle1024_es,
+                                                       highs_runs):
+        # the square wave's largest projection residuals crowd at its two
+        # jumps, so those nodes alone leave the first program without full
+        # rank; the strided nodes supply it
+        es = circle1024_es
+        f = square_wave().build(es.model, es)
+        fnorm = lp_norm(es.model, f, np.inf)
+        res = best_approx(es.model, es, f, 256.0, np.inf)
+        assert res.solver == "lp-highs" and res.converged
+        assert abs(res.error - res.lower_bound) <= LP_TOL * fnorm
+        optimal = highs.HighsModelStatus.kOptimal
+        assert all(status == optimal for _, status, _ in highs_runs)
+        assert len(highs_runs) > 1
+        assert highs_runs[-1][0] < es.model.n_nodes
+        assert res.iterations == sum(iters for _, _, iters in highs_runs) > 0
+        full = solve_on_all_rows(es, f, 256.0)
+        assert full.converged and highs_runs[-1][0] == es.model.n_nodes
+        assert abs(res.error - full.error) <= LP_TOL * fnorm
+
+    def test_failed_working_set_run_solves_all_rows(self, circle1024_es,
+                                                    monkeypatch):
+        es = circle1024_es
+        f = square_wave().build(es.model, es)
+        fnorm = lp_norm(es.model, f, np.inf)
+        full = solve_on_all_rows(es, f, 64.0)
+        runs = []
+
+        class FirstRunFails(highs._Highs):
+            # the first run stops at the iteration limit, before the optimum
+            def run(self):
+                self.setOptionValue("simplex_iteration_limit",
+                                    0 if not runs else 2 ** 31 - 1)
+                status = super().run()
+                runs.append((self.getNumRow(), self.getModelStatus()))
+                return status
+
+        monkeypatch.setattr(highs, "_Highs", FirstRunFails)
+        res = best_approx(es.model, es, f, 64.0, np.inf)
+        assert runs[0][0] < es.model.n_nodes
+        assert runs[0][1] == highs.HighsModelStatus.kIterationLimit
+        assert runs[1:] == [(es.model.n_nodes, highs.HighsModelStatus.kOptimal)]
+        assert res.converged
+        assert abs(res.error - full.error) <= LP_TOL * fnorm
+        assert abs(res.lower_bound - full.lower_bound) <= LP_TOL * fnorm
+
+    @pytest.mark.parametrize("p", [1.0, np.inf])
+    def test_unresolved_function_reports_iterations(self, circle1024_es, p):
+        es = circle1024_es
+        f = square_wave().build(es.model, es)
+        res = best_approx(es.model, es, f, 16.0, p)
+        assert res.solver == "lp-highs" and res.iterations > 0
+
+
+@settings(max_examples=24, deadline=None)
+@given(kind=st.sampled_from(["circle", "torus2", "sphere2", "mesh"]),
+       seed=st.integers(0, 2 ** 32 - 1), top=st.integers(1, 80),
+       noise=st.sampled_from([0.0, 1e-3, 1.0]), cut=st.floats(0.0, 1.0))
+def test_working_set_matches_the_program_on_all_nodes(working_set_systems,
+                                                      kind, seed, top, noise,
+                                                      cut):
+    # random f: a random combination of the first eigenfunctions plus noise
+    # at every node; a random cutoff below its top eigenvalue
+    es = working_set_systems[kind]
+    rng = np.random.default_rng(seed)
+    top = min(top, es.n_eigen)
+    values = es.eigenfunctions[:, :top] @ rng.standard_normal(top)
+    f = GridFunction(es.model, values + noise * rng.standard_normal(len(values)))
+    omega = es.eigenvalues[int(cut * (top - 1))]
+    fnorm = lp_norm(es.model, f, np.inf)
+    res = best_approx(es.model, es, f, omega, np.inf)
+    full = solve_on_all_rows(es, f, omega)
+    tol = LP_TOL * fnorm
+    assert res.converged == full.converged
+    if res.solver == "lp-highs":
+        assert res.converged
+    assert abs(res.error - full.error) <= tol
+    # both intervals hold the best error
+    assert res.lower_bound <= full.error + 1e-12 * fnorm
+    assert full.lower_bound <= res.error + 1e-12 * fnorm

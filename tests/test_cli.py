@@ -489,7 +489,7 @@ def test_besov_projects_each_function_once(tmp_path, monkeypatch):
 
 def test_package_import_leaves_scipy_optimize_and_special_unimported(fresh_python):
     # scipy.optimize (reached only through the LP binding, loaded by its
-    # file) and scipy.special (sphere bases only) stay out of the import
+    # file) and scipy.special (sphere quadrature only) stay out of the import
     assert fresh_python("import sys, besovlab.cli; print([m for m in "
                         "('scipy.optimize', 'scipy.special') if m in sys.modules])"
                         ) == "[]"
