@@ -16,7 +16,6 @@ from .corpus import (CorpusEntry, default_corpus, eigen_pure, lacunary,
 from .filters import F, check_partition, f_j, h
 from .manifold import (GridFunction, ManifoldModel, build_circle, build_sphere2,
                        build_torus2, lp_norm)
-from .mesh import MeshFormatError, icosphere, load_mesh, write_off
 from .operators import (DecayFit, KernelMatrix, apply_filter, apply_kernel,
                         build_kernel, fit_decay_constant, kernel_alpha_norms,
                         operator_norm_estimate, weighted_decay_integral,
@@ -26,3 +25,14 @@ from .spectrum import (CoefVector, EigenSystem, apply_power, build_eigensystem,
                        synthesize)
 
 __version__ = "0.1.0"
+
+# served by __getattr__: the mesh module loads scipy's sparse and dense linear
+# algebra, which only meshes use
+_MESH_NAMES = ("MeshFormatError", "icosphere", "load_mesh", "write_off")
+
+
+def __getattr__(name):
+    if name in _MESH_NAMES:
+        from . import mesh
+        return getattr(mesh, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,11 +9,13 @@ included eigenfunctions, so each solve is a finite convex problem:
   z = H^-1 U^T(w h), with d = max(|r|, IRLS_EPS)^(p-2), H = U^T(w d)U and
   h = sign(r) |r|^(p-1), by LAPACK's pivoted-QR driver gelsy, which is
   rank-revealing like the SVD driver gelsd and cheaper. gelsy is called
-  through scipy.linalg.get_lapack_funcs with its workspace sized once per
-  solve, not through scipy.linalg.lstsq, whose per-call front end weighs on
-  the small systems of the first cutoffs. The solver tries the Newton step
-  z / (p - 1) first, halves it until the error drops and then while the
-  error keeps dropping, and never takes a step that does not lower it,
+  as dgelsy from scipy's compiled LAPACK wrappers (scipy.linalg._flapack,
+  the routine scipy.linalg.get_lapack_funcs returns for float64), with its
+  workspace sized once per solve, not through scipy.linalg.lstsq, whose
+  per-call front end weighs on the small systems of the first cutoffs. The
+  solver tries the Newton step z / (p - 1) first, halves it until the error
+  drops and then while the error keeps dropping, and never takes a step
+  that does not lower it,
 * p = 1: the dual linear program of discrete L_1 approximation
   (Barrodale & Roberts 1973), max f^T z subject to U^T z = 0 and
   |z_i| <= w_i: k equality rows and box bounds, no slack variables. The
@@ -50,8 +52,10 @@ The binding is called directly because scipy's generic LP front end
 (linprog) takes only one-sided inequality rows, so the p = inf program would
 need two rows per node, and it validates and converts the dense arrays on
 every call, while passModel reads the numpy buffers as they are. The binding
-is one compiled extension module, loaded by its file once per process, since
-importing it by name first imports all of scipy.optimize.
+is one compiled extension module. It and the LAPACK wrappers are loaded by
+their files once per process, since importing either by name first imports
+all of scipy.optimize or scipy.linalg; so importing this module, and
+solving, loads no scipy subpackage.
 
 Every gap test of a solve uses one tolerance, tol = max(LP_TOL ||f||_p,
 the smallest normal float); the floor keeps it from underflowing for a
@@ -89,8 +93,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
-from scipy import linalg
 
 from .manifold import GridFunction, ManifoldModel, _weighted_norm
 from .spectrum import CoefVector, EigenSystem
@@ -189,12 +191,13 @@ def _dual_bound(u, w, r, g, p):
 def _solve_irls(u, w, fvals, c0, r0, err0, tol, p):
     n, k = u.shape
     tiny = np.finfo(float).tiny
-    # LAPACK's gelsy called directly, with rcond = eps as in
-    # scipy.linalg.lstsq, the workspace sized once per solve and the scaled
-    # matrix written in place in the Fortran order LAPACK reads, from a
-    # Fortran-order copy of U (a strided write costs more than the copy)
-    gelsy, gelsy_lwork = linalg.get_lapack_funcs(("gelsy", "gelsy_lwork"),
-                                                 (u,))
+    # LAPACK's gelsy called directly (dgelsy, as u is float64), with
+    # rcond = eps as in scipy.linalg.lstsq, the workspace sized once per
+    # solve and the scaled matrix written in place in the Fortran order
+    # LAPACK reads, from a Fortran-order copy of U (a strided write costs
+    # more than the copy)
+    lapack = _scipy_extension("linalg", "_flapack")
+    gelsy, gelsy_lwork = lapack.dgelsy, lapack.dgelsy_lwork
     rcond = np.finfo(float).eps
     lwork = int(gelsy_lwork(n, k, 1, rcond)[0])
     u_fortran = np.asfortranarray(u)
@@ -308,7 +311,7 @@ def _highs_solve(cost, a, col_lo, col_hi, row_lo, row_hi, dantzig, rows=None,
     ``RuntimeError`` when the program on all rows ends in any status but
     optimal.
     """
-    highs = _highs_binding()
+    highs = _scipy_extension("optimize._highspy", "_core")
     m, ncol = a.shape
     solver = highs._Highs()
     solver.setOptionValue("output_flag", False)
@@ -366,22 +369,29 @@ def _highs_solve(cost, a, col_lo, col_hi, row_lo, row_hi, dantzig, rows=None,
 
 
 @functools.cache
-def _highs_binding():
-    """scipy's compiled HiGHS binding, scipy.optimize._highspy._core.
+def _scipy_extension(package, stem):
+    """The compiled scipy extension module scipy.<package>.<stem>.
 
     The module already imported, or else its extension file loaded under its
-    own name, which leaves scipy.optimize, whose import takes about 0.1 s
-    and 10 MB, unimported. A later import by name returns the same module.
+    own name, found through scipy's import spec without importing scipy. So
+    neither scipy nor the subpackage is imported: scipy.optimize takes about
+    0.1 s and 10 MB, scipy.linalg about 0.2 s. An extension that puts itself
+    into sys.modules as it loads is taken out again, so that a later import
+    by name goes through its package, which then binds it as an attribute;
+    that import returns a module holding the same routine objects.
     """
-    name = "scipy.optimize._highspy._core"
+    name = f"scipy.{package}.{stem}"
     if name in sys.modules:
         return sys.modules[name]
-    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    folder = os.path.join(root, *package.split("."))
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "_core" + suffix)
+        path = os.path.join(folder, stem + suffix)
         if os.path.isfile(path):
             spec = importlib.util.spec_from_file_location(name, path)
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
+            if sys.modules.get(name) is module:
+                del sys.modules[name]
             return module
-    raise ImportError(f"no HiGHS binding _core<extension suffix> in {folder}")
+    raise ImportError(f"no extension {stem}<extension suffix> in {folder}")

@@ -7,17 +7,12 @@ T^d (the circle for d = 1) the basis is the products of one Fourier column
 per coordinate; the circle's is the one table itself, uncopied, with labels
 ``("const",)`` and ``("cos", k)``/``("sin", k)``. On the sphere it is the
 real spherical harmonics, their associated Legendre factors computed by one
-three-term recurrence in the degree per order. Triangle meshes get
-the generalized eigenproblem S u = lam M u of the cotangent stiffness S and
-the lumped mass M, solved in its symmetric form A y = lam y with
-A = M^-1/2 S M^-1/2 and u = M^-1/2 y. The eigenvalues under the band limit
-are counted first, by the inertia of an LDL^T factorization of A minus the
-band (Sylvester's law); shift-invert Lanczos (ARPACK) then asks for one pair
-more than that count, doubling until the last pair returned lies above the
-band. When the band needs more than a sixth of all pairs, a dense solve of
-the whole spectrum is cheaper and runs instead. Since the columns ascend by
-eigenvalue, the span of the first k columns is the bandlimited space at
-cutoff eigenvalues[k-1].
+three-term recurrence in the degree per order. Triangle meshes get the
+eigenpairs of the cotangent Laplacian, solved in the mesh module, which this
+one imports only for a mesh model: its solvers load scipy's sparse and dense
+linear algebra, and the analytic bases need numpy alone. Since the columns
+ascend by eigenvalue, the span of the first k columns is the bandlimited
+space at cutoff eigenvalues[k-1].
 """
 
 from __future__ import annotations
@@ -28,12 +23,8 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackError, eigsh, splu
 
 from .manifold import GridFunction, ManifoldModel, resolved_frequency
-from .mesh import cotangent_stiffness
 
 
 @dataclass(eq=False)
@@ -109,6 +100,9 @@ def build_eigensystem(model: ManifoldModel, band_limit: float) -> EigenSystem:
     elif model.kind == "sphere2":
         lam, labels, funcs = _sphere_basis(model, band_limit)
     elif model.kind == "mesh":
+        # imported here, since the mesh solvers load scipy's sparse and dense
+        # linear algebra, which no other model needs
+        from .mesh import _mesh_basis
         lam, labels, funcs = _mesh_basis(model, band_limit)
     else:
         raise ValueError(f"unknown manifold kind {model.kind!r}")
@@ -197,98 +191,6 @@ def _sphere_basis(model, band_limit):
             else:
                 funcs[:, centre] = current
     return lam, labels, funcs
-
-
-# Shift-invert Lanczos costs about n*k^2 for k eigenpairs, the dense solve
-# about n^3 whatever k. On the symmetric form, with BLAS at 1 thread, the
-# sparse solve takes 0.83 of the dense time at k = n/6 and 1.33 at n/5 on
-# icosphere(4), 0.72 at n/4 and 1.48 at n/3 on icosphere(3); above n/6 the
-# dense solve runs.
-_SPARSE_MAX_K_FRACTION = 1.0 / 6.0
-
-
-def _mesh_basis(model, band_limit):
-    stiff = cotangent_stiffness(model.nodes, model.faces).tocsc()
-    w = model.weights
-    # Gershgorin: no eigenvalue of M^-1 S exceeds max_i sum_j |S_ij| / w_i
-    top = float((abs(stiff).sum(axis=1).A1 / w).max())
-    if band_limit > top:
-        raise ValueError(
-            f"band_limit {band_limit} exceeds {top:.3g}, a bound on the largest "
-            "discrete eigenvalue; the mesh cannot certify the span")
-    # A = M^-1/2 S M^-1/2 has the pencil's eigenvalues, with u = M^-1/2 y
-    d = 1.0 / np.sqrt(w)
-    scale = sparse.diags(d)
-    sym = scale @ stiff @ scale
-    sym = (0.5 * (sym + sym.T)).tocsc()
-    tol = 1e-9 * max(1.0, top)
-    # one pair more than lie under the band, so the last one returned is
-    # above it; the growth loop below still checks that, whatever the count
-    count = _count_below(sym, band_limit + tol)
-    k = 1 if count is None else count + 1
-    area = model.total_measure
-    while k <= _SPARSE_MAX_K_FRACTION * len(w):
-        # shift one Weyl spacing below 0: S is singular (constants)
-        lam, vecs = _sparse_eigenpairs(sym, k, -4 * np.pi / area)
-        if lam[-1] > band_limit:
-            break
-        k *= 2
-    else:
-        lam, vecs = _dense_eigenpairs(sym)
-    if lam[0] < -tol:
-        raise RuntimeError(f"mesh operator produced negative eigenvalue {lam[0]:.3e}")
-    lam = np.where(np.abs(lam) <= tol, 0.0, lam)
-    # only the dense solve returns every eigenvalue; a band within roundoff
-    # of the top one covers it
-    if band_limit > lam[-1] + tol:
-        raise ValueError(
-            f"band_limit {band_limit} exceeds the largest discrete eigenvalue "
-            f"{lam[-1]:.3g}; the mesh cannot certify the span")
-    keep = lam <= band_limit
-    funcs = d[:, None] * vecs[:, keep]
-    # deterministic sign: the largest-magnitude entry of each column positive
-    peak = funcs[np.argmax(np.abs(funcs), axis=0), np.arange(funcs.shape[1])]
-    funcs[:, peak < 0] *= -1
-    lam = lam[keep]
-    return lam, [("mesh", i) for i in range(len(lam))], funcs
-
-
-def _count_below(sym, shift):
-    """Number of eigenvalues of the symmetric ``sym`` below ``shift``, or None.
-
-    By Sylvester's law of inertia it is the number of negative pivots of an
-    LDL^T factorization of sym - shift*I. SuperLU gives one when it keeps
-    every pivot on the diagonal, i.e. when its row and column orders agree;
-    otherwise, or when the factor is singular, there is no count.
-    """
-    shifted = (sym - shift * sparse.identity(sym.shape[0], format="csc")).tocsc()
-    try:
-        lu = splu(shifted, diag_pivot_thresh=0.0)
-    except RuntimeError:  # exactly singular
-        return None
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None
-    return int(np.count_nonzero(lu.U.diagonal() < 0))
-
-
-def _sparse_eigenpairs(sym, k, sigma):
-    """The k smallest eigenpairs of the symmetric ``sym``, ascending."""
-    # a fixed start vector: ARPACK's own random one changes from call to call
-    v0 = np.random.default_rng(0).standard_normal(sym.shape[0])
-    try:
-        lam, vec = eigsh(sym, k, sigma=sigma, v0=v0)
-    except ArpackError as exc:  # ArpackNoConvergence included
-        raise RuntimeError(f"mesh eigensolver failed to converge: {exc}") from exc
-    order = np.argsort(lam, kind="stable")
-    return lam[order], vec[:, order]
-
-
-def _dense_eigenpairs(sym):
-    """All eigenpairs of the symmetric ``sym``, ascending."""
-    try:
-        return eigh(sym.toarray())
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"mesh eigensolver failed to converge: {exc}") from exc
 
 
 def check_orthonormality(eigsys: EigenSystem) -> float:

@@ -1,6 +1,7 @@
+import types
+
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -396,8 +397,8 @@ class TestCertifiedLP:
 
         monkeypatch.setattr(approx, "_highs_solve",
                             counted(approx._highs_solve))
-        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs",
-                            counted(scipy.linalg.get_lapack_funcs))
+        monkeypatch.setattr(approx, "_scipy_extension",
+                            counted(approx._scipy_extension))
         f = random_band(es, rng, es.cutoff_index(4.0))
         res = best_approx(es.model, es, f, 16.0, p)
         assert calls == []
@@ -458,7 +459,7 @@ for p in (1.0, np.inf):
     res = approx.best_approx(model, es, f, 16.0, p)
     assert res.solver == "lp-highs" and res.converged, res
 assert "scipy.optimize" not in sys.modules
-used = approx._highs_binding()
+used = approx._scipy_extension("optimize._highspy", "_core")
 import scipy.optimize._highspy._core
 import scipy.optimize._highspy._core as by_name
 from scipy.optimize._highspy import _core as from_package
@@ -477,6 +478,45 @@ def test_binding_loads_without_scipy_optimize(fresh_python):
     # module (the attribute path fails if the loader puts the module into
     # sys.modules itself), and scipy's own linprog still solves
     assert fresh_python(LOADER_SCRIPT) == "ok"
+
+
+LAPACK_LOADER_SCRIPT = """
+import sys
+import numpy as np
+from besovlab import approx
+from besovlab.manifold import GridFunction, build_circle
+from besovlab.spectrum import build_eigensystem
+
+model = build_circle(128)
+es = build_eigensystem(model, 1000.0)
+f = GridFunction(model, np.sign(np.sin(model.nodes[:, 0])))
+res = approx.best_approx(model, es, f, 16.0, 1.5)
+assert res.solver == "irls" and res.converged, res
+assert "scipy.linalg" not in sys.modules
+used = approx._scipy_extension("linalg", "_flapack")
+import scipy.linalg
+import scipy.linalg._flapack
+import scipy.linalg._flapack as by_name
+from scipy.linalg import _flapack as from_package
+assert by_name is scipy.linalg._flapack and from_package is by_name
+gelsy, gelsy_lwork = scipy.linalg.get_lapack_funcs(("gelsy", "gelsy_lwork"),
+                                                   (es.eigenfunctions,))
+assert gelsy is used.dgelsy and gelsy_lwork is used.dgelsy_lwork
+assert by_name.dgelsy is used.dgelsy
+a = np.vander(np.linspace(0.0, 1.0, 5), 3)
+x = scipy.linalg.lstsq(a, a @ [1.0, 2.0, 3.0], lapack_driver="gelsy")[0]
+assert np.allclose(x, [1.0, 2.0, 3.0]), x
+print("ok")
+"""
+
+
+def test_lapack_loads_without_scipy_linalg(fresh_python):
+    # the Newton solver loads LAPACK's wrappers by their file and leaves
+    # scipy.linalg unimported; a later import by any spelling finds a module
+    # bound to its package (so the loader must not leave its own in
+    # sys.modules) whose gelsy is the routine the solver called, which is
+    # also what get_lapack_funcs returns, and scipy's own lstsq still solves
+    assert fresh_python(LAPACK_LOADER_SCRIPT) == "ok"
 
 
 @settings(max_examples=40, deadline=None)
@@ -592,15 +632,14 @@ class TestCertifiedNewton:
         start = lp_norm(es.model, GridFunction(
             es.model, f.values - es.eigenfunctions[:, :k] @ c0), 1.5)
         # a zero step direction: no step can lower the error
-        lapack = scipy.linalg.get_lapack_funcs
+        lapack = approx._scipy_extension("linalg", "_flapack")
+        zero_step = types.SimpleNamespace(
+            dgelsy=lambda a, b, *args, **kwargs: (None, np.zeros_like(b),
+                                                  None, None, 0),
+            dgelsy_lwork=lapack.dgelsy_lwork)
 
-        def zero_step(names, arrays):
-            gelsy_lwork = lapack(names, arrays)[1]
-            return (lambda a, b, *args, **kwargs: (None, np.zeros_like(b),
-                                                   None, None, 0),
-                    gelsy_lwork)
-
-        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", zero_step)
+        monkeypatch.setattr(approx, "_scipy_extension",
+                            lambda package, stem: zero_step)
         res = best_approx(es.model, es, f, 16.0, 1.5)
         assert res.iterations == 1 and not res.converged
         assert res.error == start

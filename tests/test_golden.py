@@ -119,3 +119,28 @@ def test_a_config_file_on_one_side_only_fails(runs, capsys, side, ext):
     code, lines = diff(runs, capsys)
     assert code == 1
     assert f"  {name}.{ext}: only in {side}" in lines
+
+
+@pytest.mark.parametrize("extra", ["nearly", "x2"])
+def test_a_changed_stdout_line_is_named_with_both_texts(runs, capsys, extra):
+    # "x2" adds a number to the line, "nearly" only a word
+    name = list(golden.CONFIGS)[4]
+    first = (runs[0] / f"{name}.stdout").read_text()
+    (runs[0] / f"{name}.stdout").write_text(first + "level 2 error 0.5\n")
+    (runs[1] / f"{name}.stdout").write_text(first + f"level 2 error {extra} 0.5\n")
+    code, lines = diff(runs, capsys)
+    assert code == 1
+    assert (f"    text: stdout line 2: 'level 2 error 0.5' != "
+            f"'level 2 error {extra} 0.5'") in lines
+    assert "    1 non-numeric differences" in lines
+
+
+def test_a_long_stdout_line_is_cut(runs, capsys):
+    name = list(golden.CONFIGS)[5]
+    long_line = "word " * 40
+    (runs[1] / f"{name}.stdout").write_text(long_line + "\n")
+    code, lines = diff(runs, capsys)
+    assert code == 1
+    cut = repr(long_line[:golden.CLIP - 3] + "...")
+    assert any(line.startswith("    text: stdout line 1: ") and line.endswith(cut)
+               for line in lines)

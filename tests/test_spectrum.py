@@ -9,7 +9,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.special import gammaln, lpmv
 
-from besovlab import cli, spectrum
+from besovlab import cli, mesh, spectrum
 from besovlab.cli import main
 from besovlab.manifold import (GridFunction, build_circle, build_sphere2,
                                build_torus2, lp_norm, resolved_frequency)
@@ -112,7 +112,7 @@ class TestBandLimitGuard:
         # NaN used to reach int() or a mesh eigensolve at a NaN shift, and
         # an infinite band raised OverflowError
         for name in ("splu", "eigh", "eigsh"):
-            monkeypatch.setattr(spectrum, name, forbid(name))
+            monkeypatch.setattr(mesh, name, forbid(name))
         with pytest.raises(ValueError, match="band_limit must be positive and finite"):
             build_eigensystem(request.getfixturevalue(model), band)
 
@@ -491,7 +491,7 @@ class TestMeshEigensolve:
 
     def test_small_band_never_runs_the_dense_solve(self, icospheres, oracles,
                                                    monkeypatch):
-        monkeypatch.setattr(spectrum, "eigh", forbid("the dense solve"))
+        monkeypatch.setattr(mesh, "eigh", forbid("the dense solve"))
         es = build_eigensystem(icospheres[3], 64.0)
         assert_matches_oracle(es, oracles[3])
 
@@ -504,8 +504,8 @@ class TestMeshEigensolve:
             return eigsh(a, k, **kwargs)
 
         # no count: the loop starts at one pair
-        monkeypatch.setattr(spectrum, "_count_below", lambda sym, shift: None)
-        monkeypatch.setattr(spectrum, "eigsh", counting)
+        monkeypatch.setattr(mesh, "_count_below", lambda sym, shift: None)
+        monkeypatch.setattr(mesh, "eigsh", counting)
         es = build_eigensystem(icospheres[3], 30.0)
         assert asked == [1, 2, 4, 8, 16, 32, 64]
         assert_matches_oracle(es, oracles[3])
@@ -518,7 +518,7 @@ class TestMeshEigensolve:
             asked.append(k)
             return eigsh(a, k, **kwargs)
 
-        monkeypatch.setattr(spectrum, "eigsh", counting)
+        monkeypatch.setattr(mesh, "eigsh", counting)
         es = build_eigensystem(icospheres[3], 64.0)
         assert asked == [65]
         assert_matches_oracle(es, oracles[3])
@@ -533,7 +533,7 @@ class TestMeshEigensolve:
 
     def test_full_band_takes_the_dense_fallback(self, icospheres, oracles,
                                                 monkeypatch):
-        monkeypatch.setattr(spectrum, "eigsh", forbid("the sparse solve"))
+        monkeypatch.setattr(mesh, "eigsh", forbid("the sparse solve"))
         top = oracles[1][0][-1]
         es = build_eigensystem(icospheres[1], top * (1 + 1e-10))
         assert es.n_eigen == 42
@@ -550,8 +550,8 @@ class TestMeshEigensolve:
 
     def test_band_above_the_gershgorin_bound_needs_no_solve(self, icospheres,
                                                             monkeypatch):
-        monkeypatch.setattr(spectrum, "eigh", forbid("the dense solve"))
-        monkeypatch.setattr(spectrum, "eigsh", forbid("the sparse solve"))
+        monkeypatch.setattr(mesh, "eigh", forbid("the dense solve"))
+        monkeypatch.setattr(mesh, "eigsh", forbid("the sparse solve"))
         with pytest.raises(ValueError, match="cannot certify"):
             build_eigensystem(icospheres[3], 1e4)   # the bound is 478
 
@@ -569,7 +569,7 @@ class TestMeshEigensolve:
             raise ArpackNoConvergence("no convergence", np.zeros(0),
                                       np.zeros((0, 0)))
 
-        monkeypatch.setattr(spectrum, "eigsh", failing)
+        monkeypatch.setattr(mesh, "eigsh", failing)
         with pytest.raises(RuntimeError, match="failed to converge"):
             build_eigensystem(icospheres[3], 30.0)
 
@@ -583,16 +583,16 @@ class TestInertiaCount:
         shift = frac * lam[-1]
         assume(np.abs(lam - shift).min() > 1e-6 * shift)
         # a count at all means SuperLU kept its pivots on the diagonal
-        count = spectrum._count_below(symmetric_form(icospheres[2]), shift)
+        count = mesh._count_below(symmetric_form(icospheres[2]), shift)
         assert count == np.count_nonzero(lam < shift)
 
     def test_counts_at_cluster_edges(self, icospheres, oracles):
         sym = symmetric_form(icospheres[3])
         for shift, count in cluster_edges(oracles[3][0]):
-            assert spectrum._count_below(sym, shift) == count, shift
+            assert mesh._count_below(sym, shift) == count, shift
 
     @pytest.mark.parametrize("sym", [
         np.diag([0.0, 1.0, 2.0]),                           # singular factor
         np.array([[1.0, 1, 0], [1, 1, 1], [0, 1, 4]])])     # off-diagonal pivot
     def test_no_count_without_an_ldlt_factor(self, sym):
-        assert spectrum._count_below(sparse.csc_matrix(sym), 1.0) is None
+        assert mesh._count_below(sparse.csc_matrix(sym), 1.0) is None

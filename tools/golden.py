@@ -20,7 +20,9 @@ magnitude is below 1e-10 on both sides are only counted, and the
 ``identical (runtime_ms masked)``. A last line counts the identical outputs
 and those with drift. It exits 1 when an exit code, stderr, the
 ``report.json`` pass/fail list, the set of files or a non-numeric token of
-stdout or an output file differs, and 0 when only numeric drift is found. A
+stdout or an output file differs, and 0 when only numeric drift is found.
+stdout is compared line by line, and a line whose words differ is printed
+with its number and both texts, cut to ``CLIP`` characters. A
 config whose output directory exists on one side only (it exited before
 making ``--out``) reads ``only in A`` or ``only in B``, and so does a
 missing exit code, stdout or stderr file of a config.
@@ -52,6 +54,7 @@ CONFIGS = {
 FLOOR = 1e-10
 MASKED = {"runtime_ms"}
 NUMBER = re.compile(r"([-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
+CLIP = 80  # characters of a line shown in a text difference
 
 
 def run(outdir: str, src: str) -> int:
@@ -145,16 +148,26 @@ class Drift:
             self.compare(a, b, p, where)
 
     def words(self, a, b, where):
-        """Text with numbers: the words must match, the numbers may drift."""
-        ta, tb = NUMBER.split(a), NUMBER.split(b)
-        if len(ta) != len(tb):
-            self.text.append(f"{where}: the text differs")
-            return
-        for i, (x, y) in enumerate(zip(ta, tb)):
-            if i % 2:
-                self.compare(x, y, None, where)
-            elif x != y:
-                self.text.append(f"{where}: {x!r} != {y!r}")
+        """Text with numbers, line by line: the words of each line must
+        match, the numbers may drift. A line whose words differ, or that one
+        side lacks, is named with both texts."""
+        lines_a, lines_b = a.split("\n"), b.split("\n")
+        for n in range(max(len(lines_a), len(lines_b))):
+            x = lines_a[n] if n < len(lines_a) else None
+            y = lines_b[n] if n < len(lines_b) else None
+            ta, tb = NUMBER.split(x or ""), NUMBER.split(y or "")
+            if x is None or y is None or ta[::2] != tb[::2]:
+                self.text.append(f"{where} line {n + 1}: {_clip(x)} != {_clip(y)}")
+                continue
+            for s, t in zip(ta[1::2], tb[1::2]):
+                self.compare(s, t, None, where)
+
+
+def _clip(line):
+    """A line as a diff prints it: its repr, cut to CLIP characters."""
+    if line is None:
+        return "no line"
+    return repr(line if len(line) <= CLIP else line[:CLIP - 3] + "...")
 
 
 def _read(path):
