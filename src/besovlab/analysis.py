@@ -14,6 +14,7 @@ and Bernstein ratio checks, and a quadratic-mean K-functional for the pair
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,11 @@ class BesovParams:
             raise ValueError("p must satisfy 1 <= p <= inf")
         if not self.q > 0:
             raise ValueError("q must satisfy 0 < q <= inf")
-        if self.J < 1:
+        try:
+            J = operator.index(self.J)
+        except TypeError:
+            raise ValueError(f"J must be an integer, not {self.J!r}") from None
+        if J < 1:
             raise ValueError("J must be at least 1")
 
 
@@ -61,10 +66,14 @@ def a_norm(eigsys: EigenSystem, f: GridFunction, params: BesovParams,
         raise ValueError("4^J exceeds the computed band limit")
     errors = [r.error for r in errors_at_cutoffs(
         eigsys, f, params.p, [4.0 ** j for j in range(params.J + 1)], cache)]
-    terms = np.array([2.0 ** (params.alpha * j) * errors[j]
-                      for j in range(params.J + 1)])
     return (_norm(eigsys, f, params.p, cache)
-            + _weighted_norm(np.ones(len(terms)), terms, params.q))
+            + _dyadic_sum(errors, params.alpha, params.q, 0))
+
+
+def _dyadic_sum(seq, alpha: float, q: float, first: int) -> float:
+    """The l_q norm of 2^(alpha j) seq[j] over j = first .. len(seq) - 1."""
+    terms = np.array([2.0 ** (alpha * j) * seq[j] for j in range(first, len(seq))])
+    return _weighted_norm(np.ones(len(terms)), terms, q)
 
 
 class ErrorCache:
@@ -120,6 +129,14 @@ def _get(cache, eigsys, f, p, at, compute):
 def _norm(eigsys, f, p, cache):
     """||f||_p, taken once per (f, p) per ``cache``."""
     return _get(cache, eigsys, f, p, LP_NORM, lambda: lp_norm(eigsys.model, f, p))
+
+
+def roundoff_floor(eigsys: EigenSystem, f: GridFunction, p: float,
+                   cache: ErrorCache | None = None) -> float:
+    """The level at or below which an L_p error of f is roundoff: 1e-12
+    ||f||_p, or 1e-312 for f = 0, with ||f||_p taken once per ``cache``.
+    Levels of an error ladder at or below it carry no rate information."""
+    return 1e-12 * max(_norm(eigsys, f, p, cache), 1e-300)
 
 
 def errors_at_cutoffs(eigsys: EigenSystem, f: GridFunction, p: float,
@@ -222,9 +239,7 @@ def lp_comparator_norm(eigsys: EigenSystem, f: GridFunction,
         return tuple(lp_norm(model, g, params.p) for g in blocks)
 
     norms = _get(cache, eigsys, f, params.p, LP_BLOCKS, block_norms)
-    terms = np.array([2.0 ** (params.alpha * j) * norms[j]
-                      for j in range(1, len(norms))])
-    return norms[0] + _weighted_norm(np.ones(len(terms)), terms, params.q)
+    return norms[0] + _dyadic_sum(norms, params.alpha, params.q, 1)
 
 
 def jackson_ratios(eigsys: EigenSystem, f: GridFunction, k: int, p: float,
@@ -241,7 +256,7 @@ def jackson_ratios(eigsys: EigenSystem, f: GridFunction, k: int, p: float,
     denom = lp_norm(model, rough, p)
     errors = [r.error for r in errors_at_cutoffs(
         eigsys, f, p, [4.0 ** j for j in range(J + 1)], cache)]
-    floor = 1e-12 * max(_norm(eigsys, f, p, cache), 1e-300)
+    floor = roundoff_floor(eigsys, f, p, cache)
     if denom <= floor:
         # essentially constant f: errors must vanish too (up to roundoff)
         if max(errors) > floor:

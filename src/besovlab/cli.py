@@ -24,7 +24,6 @@ kernel-decay CSV.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
@@ -39,16 +38,16 @@ from . import corpus as corpus_mod
 from .analysis import (BesovParams, ErrorCache, a_norm, a_norm_continuous,
                        bandlimited_coefficients, bernstein_ratio,
                        errors_at_cutoffs, interpolation_norm, is_bandlimited,
-                       jackson_ratios, lp_comparator_norm)
+                       jackson_ratios, lp_comparator_norm, roundoff_floor)
 from .filters import F, check_partition, f_j
 from .manifold import (GridFunction, build_circle, build_sphere2, build_torus2,
-                       lp_norm, resolved_frequency)
+                       resolved_frequency)
 from .mesh import load_mesh
 from .operators import (KernelMatrix, build_kernel, fit_decay_constant,
                         operator_norm_estimate, weighted_decay_integral,
                         young_apply_check)
-from .spectrum import (CoefVector, build_eigensystem, check_orthonormality,
-                       save_eigensystem)
+from .spectrum import (CoefVector, _atomic_file, build_eigensystem,
+                       check_orthonormality, save_eigensystem)
 
 
 class ConfigError(Exception):
@@ -219,16 +218,9 @@ def build_model_and_eigsys(cfg: dict, need_levels: bool = True):
 # output helpers
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write ``path.tmp`` and rename it over ``path``; a failed write removes it."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    """Write ``text`` to ``path`` through ``spectrum._atomic_file``."""
+    with _atomic_file(path) as fh:
+        fh.write(text)
 
 
 def _fmt(x) -> str:
@@ -362,7 +354,8 @@ def run_approx(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
             for j, e in enumerate(errs):
                 rows.append([entry.id, j, cutoffs[j], p, e])
             if p == 2.0 and entry.expected_rate is not None:
-                nz = [(j, e) for j, e in enumerate(errs) if e > 1e-13]
+                floor = roundoff_floor(eigsys, f, p, cache)
+                nz = [(j, e) for j, e in enumerate(errs) if e > floor]
                 # drop the final level when the sequence terminates inside
                 # the sweep (it is truncation-dominated)
                 if nz and nz[-1][0] < len(errs) - 1:
@@ -379,16 +372,15 @@ def run_approx(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
 
 def run_jackson(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
     k = cfg["k"]
-    model = eigsys.model
-    entry = _jackson_entry(cfg, model.kind)
-    f = entry.build(model, eigsys)
+    entry = _jackson_entry(cfg, eigsys.model.kind)
+    f = entry.build(eigsys.model, eigsys)
     rows = []
     for p in cfg["p"]:
         ratios = jackson_ratios(eigsys, f, k, p, cfg["jmax"], cache)
         errs = [r.error for r in errors_at_cutoffs(
             eigsys, f, p, [4.0 ** j for j in range(cfg["jmax"] + 1)], cache)]
         # levels already resolved to roundoff carry no rate information
-        floor = 1e-12 * max(lp_norm(model, f, p), 1e-300)
+        floor = roundoff_floor(eigsys, f, p, cache)
         pos = [r for r, e in zip(ratios, errs) if r > 0 and e > floor]
         trend = max(pos) / np.median(pos) if pos else 1.0
         report.check(f"jackson.bounded[p={p:g}]", trend < 10.0, trend, 10.0)

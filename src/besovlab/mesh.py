@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.sparse.linalg import ArpackError, eigsh, splu
 
 from .manifold import ManifoldModel
@@ -107,15 +107,19 @@ def _check_closed_manifold(faces: np.ndarray) -> None:
             f"{sorted(set(counts.tolist()) - {2})} triangles")
 
 
-def edge_graph_distances(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    """All-pairs shortest-path distances on the edge graph (Dijkstra)."""
+def _edge_graph(verts: np.ndarray, faces: np.ndarray) -> sparse.csr_matrix:
+    """Symmetric sparse adjacency of the mesh edges, Euclidean edge lengths."""
     i = np.concatenate([faces[:, 0], faces[:, 1], faces[:, 2]])
     j = np.concatenate([faces[:, 1], faces[:, 2], faces[:, 0]])
     lengths = np.linalg.norm(verts[i] - verts[j], axis=1)
     n = len(verts)
     g = sparse.csr_matrix((lengths, (i, j)), shape=(n, n))
-    g = g.maximum(g.T)
-    return dijkstra(g, directed=False)
+    return g.maximum(g.T)
+
+
+def edge_graph_distances(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """All-pairs shortest-path distances on the edge graph (Dijkstra)."""
+    return dijkstra(_edge_graph(verts, faces), directed=False)
 
 
 def cotangent_stiffness(verts: np.ndarray, faces: np.ndarray) -> sparse.csr_matrix:
@@ -234,7 +238,8 @@ def _dense_eigenpairs(sym):
 
 
 def load_mesh(path) -> ManifoldModel:
-    """Load a closed manifold triangle mesh (ASCII OFF) as a 2-manifold model.
+    """Load a closed, connected manifold triangle mesh (ASCII OFF), every
+    vertex of which lies on a face, as a 2-manifold model.
 
     Weights are lumped barycentric vertex areas: each triangle gives a third
     of its area to each corner. The geodesic distance is the shortest path on
@@ -248,6 +253,15 @@ def load_mesh(path) -> ManifoldModel:
     if len(bad):
         raise MeshFormatError(f"degenerate triangle(s) at face index {bad[:5].tolist()}")
     _check_closed_manifold(faces)
+    # a vertex outside every face has no area, and a second component no
+    # finite geodesic to the first
+    unused = np.setdiff1d(np.arange(len(verts)), faces)
+    if len(unused):
+        raise MeshFormatError(f"vertex {unused[0]} belongs to no face")
+    parts, _ = connected_components(_edge_graph(verts, faces), directed=False)
+    if parts > 1:
+        raise MeshFormatError(
+            f"mesh has {parts} connected components; it must be connected")
     weights = np.zeros(len(verts))
     for c in range(3):
         np.add.at(weights, faces[:, c], areas / 3.0)

@@ -47,9 +47,13 @@ class DecayFit:
     max_abs_kernel: float
 
 
+def _check_scale(t: float) -> None:
+    if not 0 < t < np.inf:
+        raise ValueError(f"t must be positive and finite, not {t}")
+
+
 def _multiplier_values(eigsys: EigenSystem, G, t: float) -> np.ndarray:
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_scale(t)
     vals = np.asarray(G(t * t * eigsys.eigenvalues), dtype=float)
     if vals.shape != eigsys.eigenvalues.shape or not np.all(np.isfinite(vals)):
         raise ValueError("multiplier must return finite values per eigenvalue")
@@ -58,9 +62,13 @@ def _multiplier_values(eigsys: EigenSystem, G, t: float) -> np.ndarray:
 
 def apply_filter(eigsys: EigenSystem, G, t: float, f: GridFunction) -> GridFunction:
     """Apply the multiplier G(t^2 L): scale eigencoefficients, resynthesize."""
+    return _apply_multiplier(eigsys, _multiplier_values(eigsys, G, t), f)
+
+
+def _apply_multiplier(eigsys: EigenSystem, g, f: GridFunction) -> GridFunction:
+    """f's eigencoefficients scaled by the multiplier values g, resynthesized."""
     c = project(eigsys, f)
-    scaled = c.coefficients * _multiplier_values(eigsys, G, t)
-    return synthesize(eigsys, CoefVector(scaled))
+    return synthesize(eigsys, CoefVector(c.coefficients * g))
 
 
 def build_kernel(eigsys: EigenSystem, G, t: float) -> KernelMatrix:
@@ -119,11 +127,10 @@ def fit_decay_constant(K: KernelMatrix) -> DecayFit:
     """Grid-exact minimal constant in |K| <= C t^-n (1 + d/t)^-N at t = K.t,
     with N = n + ``DECAY_EXCESS``."""
     model, t = K.model, K.t
-    N = model.dim + DECAY_EXCESS
-    d = model.distance_matrix()
-    envelope = t ** (-model.dim) * (1.0 + d / t) ** (-N)
+    decay = _decay_envelope(model, t)
     a = np.abs(K.matrix)
-    return DecayFit(t=float(t), N=N, C=float((a / envelope).max()),
+    return DecayFit(t=float(t), N=model.dim + DECAY_EXCESS,
+                    C=float((a / (t ** (-model.dim) * decay)).max()),
                     max_abs_kernel=float(a.max()))
 
 
@@ -162,8 +169,7 @@ def operator_norm_estimate(eigsys: EigenSystem, G, t: float, p: float,
         norm = lp_norm(model, f, p)
         if norm == 0.0:
             continue
-        c = project(eigsys, GridFunction(model, raw / norm)).coefficients
-        out = synthesize(eigsys, CoefVector(c * g))
+        out = _apply_multiplier(eigsys, g, GridFunction(model, raw / norm))
         best = max(best, lp_norm(model, out, p))
     return best
 
@@ -171,6 +177,13 @@ def operator_norm_estimate(eigsys: EigenSystem, G, t: float, p: float,
 def weighted_decay_integral(model: ManifoldModel, t: float) -> float:
     """max_x t^-n sum_j w_j (1 + d(x,x_j)/t)^-N, the discrete volume bound,
     with N = n + ``DECAY_EXCESS``."""
-    d = model.distance_matrix()
-    vals = ((1.0 + d / t) ** (-(model.dim + DECAY_EXCESS))) @ model.weights
+    vals = _decay_envelope(model, t) @ model.weights
     return float(vals.max() * t ** (-model.dim))
+
+
+def _decay_envelope(model: ManifoldModel, t: float) -> np.ndarray:
+    """(1 + d(x,y)/t)^-N over all node pairs, N = n + ``DECAY_EXCESS``, for a
+    scale t that is positive and finite."""
+    _check_scale(t)
+    d = model.distance_matrix()
+    return (1.0 + d / t) ** (-(model.dim + DECAY_EXCESS))

@@ -241,8 +241,8 @@ def save_eigensystem(eigsys: EigenSystem, path) -> None:
     that of ``json.dump`` of the whole document, since both encoders write
     floats with ``float.__repr__`` and use the same separators.
 
-    The document is written into ``<path>.tmp`` and renamed over ``path``,
-    so a failed write leaves an earlier file intact and no temp file.
+    The document is written through ``_atomic_file``, so a failed write
+    leaves an earlier file intact and no temp file.
     """
     head = {
         "format": "besovlab-eigensystem",
@@ -258,17 +258,26 @@ def save_eigensystem(eigsys: EigenSystem, path) -> None:
         "eigenvalues": eigsys.eigenvalues.tolist(),
     }
     values = eigsys.eigenfunctions.ravel(order="C")
+    with _atomic_file(path) as fh:
+        fh.write(json.dumps(head)[:-1] + ', "eigenfunctions": [')
+        for i in range(0, len(values), _SAVE_BLOCK_VALUES):
+            if i:
+                fh.write(", ")
+            block = values[i:i + _SAVE_BLOCK_VALUES].tolist()
+            fh.write(json.dumps(block)[1:-1])
+        labels = [list(lab) for lab in eigsys.labels]
+        fh.write('], "labels": ' + json.dumps(labels) + "}")
+
+
+@contextlib.contextmanager
+def _atomic_file(path):
+    """The text file ``<path>.tmp``, open for writing and renamed over
+    ``path`` when the block ends. On any error it is removed, and ``path``
+    keeps what it held. Lines end as written, on every platform."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write(json.dumps(head)[:-1] + ', "eigenfunctions": [')
-            for i in range(0, len(values), _SAVE_BLOCK_VALUES):
-                if i:
-                    fh.write(", ")
-                block = values[i:i + _SAVE_BLOCK_VALUES].tolist()
-                fh.write(json.dumps(block)[1:-1])
-            labels = [list(lab) for lab in eigsys.labels]
-            fh.write('], "labels": ' + json.dumps(labels) + "}")
+        with open(tmp, "w", newline="") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

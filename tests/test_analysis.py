@@ -43,6 +43,14 @@ class TestBesovParams:
     def test_accepts_infinite_p_and_q(self):
         BesovParams(alpha=1.0, p=np.inf, q=np.inf, J=3)
 
+    @pytest.mark.parametrize("J", [1.5, 2.0])
+    def test_rejects_a_non_integer_J(self, J):
+        with pytest.raises(ValueError, match=f"J must be an integer, not {J}"):
+            BesovParams(alpha=1.0, p=2.0, q=2.0, J=J)
+
+    def test_accepts_a_numpy_integer_J(self):
+        BesovParams(alpha=1.0, p=2.0, q=2.0, J=np.int64(3))
+
 
 class TestSharedCache:
     def test_norms_share_each_solve(self, monkeypatch, rng):

@@ -134,6 +134,25 @@ def test_load_mesh_rejects_degenerate_triangle(tmp_path):
         load_mesh(path)
 
 
+def test_load_mesh_rejects_a_vertex_outside_every_face(tmp_path):
+    verts, faces = icosphere(1)
+    path = tmp_path / "stray.off"
+    write_off(path, np.vstack([verts, [[2.0, 0.0, 0.0]]]), faces)
+    with pytest.raises(MeshFormatError, match=f"vertex {len(verts)} belongs to no face"):
+        load_mesh(path)
+
+
+def test_load_mesh_rejects_a_disconnected_mesh(tmp_path):
+    # two disjoint icosphere(2) copies: the edge-graph distance between them
+    # is infinite, and a decay fit over it would read 0/0
+    verts, faces = icosphere(2)
+    path = tmp_path / "two.off"
+    write_off(path, np.vstack([verts, verts + 3.0]),
+              np.vstack([faces, faces + len(verts)]))
+    with pytest.raises(MeshFormatError, match="mesh has 2 connected components"):
+        load_mesh(path)
+
+
 def test_lumped_areas_match_triangle_sum(icosphere3):
     areas = triangle_areas(icosphere3.nodes, icosphere3.faces)
     assert icosphere3.weights.sum() == pytest.approx(areas.sum(), rel=1e-12)

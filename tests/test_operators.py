@@ -203,6 +203,19 @@ class TestDecayFit:
         assert len(lines) == 2
 
 
+@pytest.mark.parametrize("t", [0.0, -0.5, np.nan, np.inf])
+class TestDecayScale:
+    def test_volume_bound_rejects_the_scale(self, t):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            weighted_decay_integral(build_circle(64), t)
+
+    def test_decay_fit_rejects_the_scale(self, t):
+        model = build_circle(64)
+        k = KernelMatrix(model, np.eye(64), t)
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            fit_decay_constant(k)
+
+
 class TestVolumeEstimate:
     def test_circle_uniform_over_scales(self, circle512):
         vals = [weighted_decay_integral(circle512, 2.0 ** (-j))
