@@ -53,6 +53,10 @@ class BesovParams:
             raise ValueError(f"J must be an integer, not {self.J!r}") from None
         if J < 1:
             raise ValueError("J must be at least 1")
+        try:
+            4.0 ** J  # the top level's cutoff
+        except OverflowError:
+            raise ValueError(f"J is {J}; 4^J overflows a float") from None
 
 
 def a_norm(eigsys: EigenSystem, f: GridFunction, params: BesovParams,

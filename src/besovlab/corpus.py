@@ -97,8 +97,8 @@ def eigen_pure(l: int) -> CorpusEntry:
 
 def random_bandlimited(omega: float, seed: int) -> CorpusEntry:
     """Unit-L2 random element of the span {lambda <= omega} (seeded)."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not 0 < omega < np.inf:
+        raise ValueError(f"omega must be positive and finite, not {omega}")
 
     def draw(eigsys):
         if omega > eigsys.band_limit:

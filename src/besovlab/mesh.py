@@ -3,21 +3,23 @@ and the eigenbasis of the mesh Laplace operator.
 
 The mesh Laplace operator is the cotangent stiffness matrix S paired with
 the lumped (barycentric) mass M, i.e. a self-adjoint nonnegative surrogate
-of the Laplace-Beltrami operator. ``spectrum.build_eigensystem`` gets its
-eigenpairs from ``_mesh_basis``: the generalized eigenproblem S u = lam M u
-is solved in its symmetric form A y = lam y with A = M^-1/2 S M^-1/2 and
-u = M^-1/2 y. The eigenvalues under the band limit are counted first, by the
-inertia of an LDL^T factorization of A minus the band (Sylvester's law);
-shift-invert Lanczos (ARPACK) then asks for one pair more than that count,
-doubling until the last pair returned lies above the band. When the band
-needs more than a sixth of all pairs, a dense solve of the whole spectrum is
-cheaper and runs instead.
+of the Laplace-Beltrami operator. ``load_mesh`` hands the model
+``_mesh_basis`` as its eigenbasis rule: the generalized eigenproblem
+S u = lam M u is solved in its symmetric form A y = lam y with
+A = M^-1/2 S M^-1/2 and u = M^-1/2 y. The eigenvalues under the band limit
+are counted first, by the inertia of an LDL^T factorization of A minus the
+band (Sylvester's law); shift-invert Lanczos (ARPACK) then asks for one pair
+more than that count, doubling until the last pair returned lies above the
+band. When the band needs more than a sixth of all pairs, a dense solve of
+the whole spectrum is cheaper and runs instead.
 
 This module imports scipy's sparse and dense linear algebra, so the package
 imports it on first use only.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -117,9 +119,9 @@ def _edge_graph(verts: np.ndarray, faces: np.ndarray) -> sparse.csr_matrix:
     return g.maximum(g.T)
 
 
-def edge_graph_distances(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
+def edge_graph_distances(graph: sparse.csr_matrix) -> np.ndarray:
     """All-pairs shortest-path distances on the edge graph (Dijkstra)."""
-    return dijkstra(_edge_graph(verts, faces), directed=False)
+    return dijkstra(graph, directed=False)
 
 
 def cotangent_stiffness(verts: np.ndarray, faces: np.ndarray) -> sparse.csr_matrix:
@@ -153,9 +155,10 @@ def cotangent_stiffness(verts: np.ndarray, faces: np.ndarray) -> sparse.csr_matr
 _SPARSE_MAX_K_FRACTION = 1.0 / 6.0
 
 
-def _mesh_basis(model, band_limit):
-    stiff = cotangent_stiffness(model.nodes, model.faces).tocsc()
-    w = model.weights
+def _mesh_basis(verts, faces, w, band_limit):
+    """The cotangent Laplacian's eigenpairs on the mesh with lumped vertex
+    areas ``w``."""
+    stiff = cotangent_stiffness(verts, faces).tocsc()
     # Gershgorin: no eigenvalue of M^-1 S exceeds max_i sum_j |S_ij| / w_i
     top = float((abs(stiff).sum(axis=1).A1 / w).max())
     if band_limit > top:
@@ -172,7 +175,7 @@ def _mesh_basis(model, band_limit):
     # above it; the growth loop below still checks that, whatever the count
     count = _count_below(sym, band_limit + tol)
     k = 1 if count is None else count + 1
-    area = model.total_measure
+    area = float(w.sum())
     while k <= _SPARSE_MAX_K_FRACTION * len(w):
         # shift one Weyl spacing below 0: S is singular (constants)
         lam, vecs = _sparse_eigenpairs(sym, k, -4 * np.pi / area)
@@ -244,7 +247,7 @@ def load_mesh(path) -> ManifoldModel:
     Weights are lumped barycentric vertex areas: each triangle gives a third
     of its area to each corner. The geodesic distance is the shortest path on
     the edge graph with Euclidean edge lengths, computed by the model on
-    first use.
+    first use; the eigenbasis is that of the cotangent Laplacian.
     """
     with open(path) as fh:
         verts, faces = parse_off(fh.read())
@@ -258,7 +261,8 @@ def load_mesh(path) -> ManifoldModel:
     unused = np.setdiff1d(np.arange(len(verts)), faces)
     if len(unused):
         raise MeshFormatError(f"vertex {unused[0]} belongs to no face")
-    parts, _ = connected_components(_edge_graph(verts, faces), directed=False)
+    graph = _edge_graph(verts, faces)
+    parts, _ = connected_components(graph, directed=False)
     if parts > 1:
         raise MeshFormatError(
             f"mesh has {parts} connected components; it must be connected")
@@ -269,8 +273,8 @@ def load_mesh(path) -> ManifoldModel:
     # that name is seen
     return ManifoldModel("mesh", 2, verts, weights,
                          params={"n_vertices": len(verts), "n_faces": len(faces)},
-                         faces=faces,
-                         distance=lambda x: edge_graph_distances(x, faces))
+                         distance=lambda x: edge_graph_distances(graph),
+                         basis=partial(_mesh_basis, verts, faces, weights))
 
 
 def icosphere(level: int) -> tuple[np.ndarray, np.ndarray]:

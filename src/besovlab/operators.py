@@ -22,7 +22,7 @@ DECAY_EXCESS = 2.0  # the decay exponent N exceeds the dimension n by this
 
 @dataclass
 class KernelMatrix:
-    """Dense kernel of a spectral multiplier at scale t."""
+    """Dense kernel of a spectral multiplier at scale t (positive, finite)."""
 
     model: ManifoldModel
     matrix: np.ndarray
@@ -35,6 +35,7 @@ class KernelMatrix:
             raise ValueError("kernel must be n_nodes x n_nodes")
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("kernel has non-finite entries")
+        _check_scale(self.t)
 
 
 @dataclass

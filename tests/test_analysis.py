@@ -51,6 +51,18 @@ class TestBesovParams:
     def test_accepts_a_numpy_integer_J(self):
         BesovParams(alpha=1.0, p=2.0, q=2.0, J=np.int64(3))
 
+    def test_rejects_a_J_whose_top_cutoff_overflows(self):
+        with pytest.raises(ValueError, match="J is 512; 4\\^J overflows a float"):
+            BesovParams(alpha=1.0, p=2.0, q=2.0, J=512)
+
+    def test_largest_J_constructs_and_norms_refuse_it(self, circle1024_es):
+        # 4^511 is the largest power of 4 below the float maximum
+        params = BesovParams(alpha=1.0, p=2.0, q=2.0, J=511)
+        f = pure(circle1024_es, 1)
+        for norm in (a_norm, a_norm_continuous):
+            with pytest.raises(ValueError, match="4\\^J exceeds the computed band"):
+                norm(circle1024_es, f, params)
+
 
 class TestSharedCache:
     def test_norms_share_each_solve(self, monkeypatch, rng):

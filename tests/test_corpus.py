@@ -97,6 +97,11 @@ class TestRandomBandlimited:
         f = random_bandlimited(64.0, seed=3).build(es.model, es)
         assert lp_norm(es.model, f, 2.0) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_a_cutoff_not_positive_and_finite(self, omega):
+        with pytest.raises(ValueError, match="omega must be positive and finite"):
+            random_bandlimited(omega, 1)
+
 
 class TestSquareWave:
     def test_even_coefficients_vanish(self, circle4096, circle4096_es):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from besovlab.approx import best_approx
 from besovlab.manifold import (GridFunction, ManifoldModel, build_circle,
                                build_sphere2, build_torus2, lp_norm)
+from besovlab.spectrum import build_eigensystem, check_orthonormality, project
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -17,6 +19,41 @@ def test_model_without_a_distance_rule_raises_naming_its_kind():
     assert model.total_measure == 4.0
     with pytest.raises(ValueError, match="no distance rule for kind 'hand-built'"):
         model.distance_matrix()
+    with pytest.raises(ValueError, match="no eigenbasis rule for kind 'hand-built'"):
+        build_eigensystem(model, 1.0)
+
+
+def neumann_interval(n):
+    """[0, pi] at n midpoints, with the Neumann cosines sqrt(2/pi) cos(k x)
+    (and the constant) as its eigenbasis rule: exactly orthonormal in the
+    midpoint rule for k < n."""
+    x = (np.arange(n) + 0.5) * np.pi / n
+
+    def basis(band_limit):
+        k = np.arange(int(np.floor(np.sqrt(band_limit) + 1e-9)) + 1)
+        funcs = np.sqrt(2 / np.pi) * np.cos(np.outer(x, k))
+        funcs[:, 0] = 1 / np.sqrt(np.pi)
+        return (k ** 2).astype(float), [("cos", j) for j in k], funcs
+
+    return ManifoldModel("hand-built", 1, x[:, None], np.full(n, np.pi / n),
+                         basis=basis)
+
+
+def test_hand_built_model_with_a_basis_rule_runs_the_numerical_layers():
+    model = neumann_interval(64)
+    es = build_eigensystem(model, 30.0)
+    assert es.eigenvalues.tolist() == [0.0, 1.0, 4.0, 9.0, 16.0, 25.0]
+    assert check_orthonormality(es) < 1e-12
+    f = GridFunction(model, 2 * es.eigenfunctions[:, 1] - es.eigenfunctions[:, 3])
+    np.testing.assert_allclose(project(es, f).coefficients,
+                               [0, 2, 0, -1, 0, 0], atol=1e-12)
+    for p in (1.0, 2.0, np.inf):
+        assert best_approx(model, es, f, 9.0, p).error < 1e-12
+        res = best_approx(model, es, f, 4.0, p)
+        assert res.converged
+        assert 0 < res.lower_bound <= res.error * (1 + 1e-9)
+        assert res.error <= lp_norm(model, f, p)
+    assert best_approx(model, es, f, 4.0, 2.0).error == pytest.approx(1.0)
 
 
 class TestCircle:

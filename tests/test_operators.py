@@ -209,9 +209,14 @@ class TestDecayScale:
         with pytest.raises(ValueError, match="t must be positive and finite"):
             weighted_decay_integral(build_circle(64), t)
 
+    def test_kernel_rejects_the_scale(self, t):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            KernelMatrix(build_circle(64), np.eye(64), t)
+
     def test_decay_fit_rejects_the_scale(self, t):
         model = build_circle(64)
-        k = KernelMatrix(model, np.eye(64), t)
+        k = KernelMatrix(model, np.eye(64), 1.0)
+        k.t = t  # set past the constructor's check
         with pytest.raises(ValueError, match="t must be positive and finite"):
             fit_decay_constant(k)
 

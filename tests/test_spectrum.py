@@ -9,7 +9,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.special import gammaln, lpmv
 
-from besovlab import cli, mesh, spectrum
+from besovlab import cli, manifold, mesh, spectrum
 from besovlab.cli import main
 from besovlab.manifold import (GridFunction, build_circle, build_sphere2,
                                build_torus2, lp_norm, resolved_frequency)
@@ -95,7 +95,7 @@ class TestResolution:
             def resolved(angles, m_max):
                 raise _Resolved(m_max)
 
-            monkeypatch.setattr(spectrum, "_fourier_table", resolved)
+            monkeypatch.setattr(manifold, "_fourier_table", resolved)
             with pytest.raises(_Resolved):
                 build_eigensystem(model, band)
             return
@@ -403,9 +403,9 @@ def reference_document(es):
 
 # -- mesh eigensolve against a dense oracle ---------------------------------
 
-def dense_oracle(model):
+def dense_oracle(model, level):
     """Every eigenpair of S u = lam M u by scipy's dense generalized solver."""
-    stiff = cotangent_stiffness(model.nodes, model.faces).toarray()
+    stiff = cotangent_stiffness(model.nodes, icosphere(level)[1]).toarray()
     return eigh(stiff, np.diag(model.weights))
 
 
@@ -433,7 +433,7 @@ def icospheres(tmp_path_factory, icosphere3):
 
 @pytest.fixture(scope="module")
 def oracles(icospheres):
-    return {level: dense_oracle(m) for level, m in icospheres.items()}
+    return {level: dense_oracle(m, level) for level, m in icospheres.items()}
 
 
 def cluster_edges(lam):
@@ -450,9 +450,9 @@ def cluster_edges(lam):
     return edges
 
 
-def symmetric_form(model):
+def symmetric_form(model, level):
     """M^-1/2 S M^-1/2, exactly symmetric: the pencil's eigenvalues."""
-    stiff = cotangent_stiffness(model.nodes, model.faces)
+    stiff = cotangent_stiffness(model.nodes, icosphere(level)[1])
     scale = sparse.diags(1.0 / np.sqrt(model.weights))
     sym = scale @ stiff @ scale
     return 0.5 * (sym + sym.T)
@@ -583,11 +583,11 @@ class TestInertiaCount:
         shift = frac * lam[-1]
         assume(np.abs(lam - shift).min() > 1e-6 * shift)
         # a count at all means SuperLU kept its pivots on the diagonal
-        count = mesh._count_below(symmetric_form(icospheres[2]), shift)
+        count = mesh._count_below(symmetric_form(icospheres[2], 2), shift)
         assert count == np.count_nonzero(lam < shift)
 
     def test_counts_at_cluster_edges(self, icospheres, oracles):
-        sym = symmetric_form(icospheres[3])
+        sym = symmetric_form(icospheres[3], 3)
         for shift, count in cluster_edges(oracles[3][0]):
             assert mesh._count_below(sym, shift) == count, shift
 
