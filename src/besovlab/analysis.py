@@ -75,9 +75,21 @@ def a_norm(eigsys: EigenSystem, f: GridFunction, params: BesovParams,
 
 
 def _dyadic_sum(seq, alpha: float, q: float, first: int) -> float:
-    """The l_q norm of 2^(alpha j) seq[j] over j = first .. len(seq) - 1."""
-    terms = np.array([2.0 ** (alpha * j) * seq[j] for j in range(first, len(seq))])
-    return _weighted_norm(np.ones(len(terms)), terms, q)
+    """The l_q norm of 2^(alpha j) seq[j] over j = first .. len(seq) - 1.
+
+    Raises ``ValueError`` when a weight 2^(alpha j), a term or the sum is
+    not a finite float.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = np.array([2.0 ** (alpha * j) * seq[j] for j in range(first, len(seq))])
+            total = _weighted_norm(np.ones(len(terms)), terms, q)
+    except OverflowError:  # a weight 2^(alpha j) beyond the float range
+        total = np.inf
+    if not np.isfinite(total):
+        raise ValueError(f"alpha = {alpha:g}, q = {q:g}: a weight 2^(alpha j) or "
+                         "the dyadic l_q sum is not a finite float")
+    return total
 
 
 class ErrorCache:

@@ -1,13 +1,16 @@
 """Experiment runner: reproducible reports for every verifier in the library.
 
 Subcommands mirror the library surface (spectrum, filters, kernel-decay,
-approx, jackson, bernstein, young, besov, all). Each writes CSV + gnuplot
-.dat files plus a JSON summary (report.json) with one pass/fail entry per
-assertion, and exits 1 if any assertion failed, 2 on configuration errors.
-An experiment that raises stops the run; report.json is still written, with
-the assertions made so far, ``passed`` false and an ``aborted`` entry naming
-the experiment and the error, and the exit code is 2 for a configuration
-error (``ConfigError``, ``ValueError``) and 1 for any other exception.
+approx, jackson, bernstein, young, besov, all). Each experiment fills a
+record (``Report``) with its tables, JSON documents and pass/fail
+assertions, and touches no file; ``main`` writes each record into the output
+directory (one CSV per table), then a JSON summary (report.json) with one
+pass/fail entry per assertion, and exits 1 if any assertion failed, 2 on
+configuration errors. An experiment that raises stops the run; its record so
+far and report.json are still written, with the assertions made so far,
+``passed`` false and an ``aborted`` entry naming the experiment and the
+error, and the exit code is 2 for a configuration error (``ConfigError``,
+``ValueError``) and 1 for any other exception.
 The model and eigensystem are built once, before the first experiment, and
 only for experiments that read them: ``filters`` builds neither. Each
 experiment takes the eigensystem alone and reads the model it holds. A model or
@@ -46,7 +49,7 @@ from .mesh import load_mesh
 from .operators import (KernelMatrix, build_kernel, fit_decay_constant,
                         operator_norm_estimate, weighted_decay_integral,
                         young_apply_check)
-from .spectrum import (CoefVector, _atomic_file, build_eigensystem,
+from .spectrum import (CoefVector, EigenSystem, _atomic_file, build_eigensystem,
                        check_orthonormality, save_eigensystem)
 
 
@@ -167,16 +170,21 @@ def _jackson_entry(cfg: dict, kind: str):
     return corpus_mod.random_bandlimited(4.0, cfg["seed"])
 
 
+def _corpus_entries(cfg: dict, kind: str, names: list[str]) -> list:
+    """The corpus functions the experiments ``names`` build on ``kind``."""
+    entries = []
+    if "approx" in names or "besov" in names:
+        entries += corpus_mod.default_corpus(kind)
+    if "jackson" in names:
+        entries.append(_jackson_entry(cfg, kind))
+    return entries
+
+
 def _check_corpus_resolved(cfg: dict, names: list[str]) -> None:
     """Reject a circle too coarse for a corpus function the run samples."""
     if cfg["manifold"] != "circle":
         return
-    entries = []
-    if "approx" in names or "besov" in names:
-        entries += corpus_mod.default_corpus("circle")
-    if "jackson" in names:
-        entries.append(_jackson_entry(cfg, "circle"))
-    for entry in entries:
+    for entry in _corpus_entries(cfg, "circle", names):
         if (entry.frequency is not None
                 and entry.frequency > resolved_frequency(cfg["nodes"])):
             raise ConfigError(
@@ -202,6 +210,20 @@ def _check_sobolev_order(cfg: dict, eigsys, names: list[str]) -> None:
                 raise ConfigError(
                     f"k is {k}; {name} raises eigenvalues up to {top:g} to the "
                     f"power {s:g}, which overflows a float") from None
+
+
+def _check_corpus_held(cfg: dict, eigsys, names: list[str]) -> None:
+    """Reject a band whose eigensystem cannot hold a corpus function the run
+    builds: a random draw needs its cutoff within the band, a pure
+    eigenfunction its index among the eigenpairs."""
+    band = eigsys.band_limit
+    for entry in _corpus_entries(cfg, eigsys.model.kind, names):
+        if entry.band is not None and entry.band > band:
+            raise ConfigError(f"band {band:g} cannot hold corpus function "
+                              f"{entry.id}; it needs a band of at least {entry.band:g}")
+        if entry.eigenpairs is not None and entry.eigenpairs > eigsys.n_eigen:
+            raise ConfigError(f"band {band:g} holds {eigsys.n_eigen} eigenpairs; "
+                              f"corpus function {entry.id} needs {entry.eigenpairs}")
 
 
 def build_model_and_eigsys(cfg: dict, need_levels: bool = True):
@@ -241,23 +263,25 @@ def _jsonable(x):
 
 
 def write_table(outdir: str, name: str, header: list[str], rows: list[list]) -> None:
-    """Write name.csv and a gnuplot-friendly name.dat atomically."""
+    """Write name.csv atomically: the header, then one line per row, floats
+    to 17 significant digits."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
+    csv.writer(buf).writerows([header] + [[_fmt(x) for x in row] for row in rows])
     _atomic_write(os.path.join(outdir, name + ".csv"), buf.getvalue())
-    lines = ["# " + " ".join(header)]
-    for row in rows:
-        lines.append(" ".join(_fmt(x) for x in row))
-    _atomic_write(os.path.join(outdir, name + ".dat"), "\n".join(lines) + "\n")
 
 
 class Report:
-    """Collects per-assertion pass/fail entries for report.json."""
+    """What one experiment found, for ``main`` to write.
+
+    ``tables`` maps a table name to its (header, rows); ``documents`` maps an
+    output file name to a JSON-ready object, or to the ``EigenSystem`` that
+    ``save_eigensystem`` exports; ``assertions`` holds the pass/fail entries
+    of report.json.
+    """
 
     def __init__(self):
+        self.tables = {}
+        self.documents = {}
         self.assertions = []
 
     def check(self, name: str, passed: bool, value, threshold, note: str = ""):
@@ -267,61 +291,64 @@ class Report:
             "threshold": None if threshold is None else _jsonable(float(threshold)),
             "note": note,
         })
-        return passed
 
-    @property
-    def all_passed(self) -> bool:
-        return all(a["passed"] for a in self.assertions)
+
+def _write_outputs(outdir: str, tables: dict, documents: dict) -> None:
+    """Write tables and documents, as a ``Report`` holds them, into ``outdir``."""
+    for name, (header, rows) in tables.items():
+        write_table(outdir, name, header, rows)
+    for name, doc in documents.items():
+        if isinstance(doc, EigenSystem):
+            save_eigensystem(doc, os.path.join(outdir, name))
+        else:
+            _atomic_write(os.path.join(outdir, name), json.dumps(_jsonable(doc), indent=2))
 
 
 # ---------------------------------------------------------------------------
 # experiments
 
-def run_spectrum(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
+def run_spectrum(cfg, eigsys, cache: ErrorCache, record: Report):
     dev = check_orthonormality(eigsys)
-    report.check("spectrum.orthonormality", dev < 1e-10, dev, 1e-10)
-    report.check("spectrum.lambda0", eigsys.eigenvalues[0] == 0.0,
+    record.check("spectrum.orthonormality", dev < 1e-10, dev, 1e-10)
+    record.check("spectrum.lambda0", eigsys.eigenvalues[0] == 0.0,
                  eigsys.eigenvalues[0], 0.0)
     rows = [[i, lam] for i, lam in enumerate(eigsys.eigenvalues)]
-    write_table(outdir, "spectrum", ["index", "eigenvalue"], rows)
-    save_eigensystem(eigsys, os.path.join(outdir, "eigensystem.json"))
+    record.tables["spectrum"] = (["index", "eigenvalue"], rows)
+    record.documents["eigensystem.json"] = eigsys
 
 
-def run_filters(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
+def run_filters(cfg, eigsys, cache: ErrorCache, record: Report):
     J = 5
     grid = np.linspace(0.0, 4.0 ** J, 10001)
     dev = check_partition(J, grid)
-    report.check("filters.partition_of_unity", dev < 1e-12, dev, 1e-12)
+    record.check("filters.partition_of_unity", dev < 1e-12, dev, 1e-12)
     sample = np.geomspace(1e-2, 4.0 ** J, 200)
     rows = np.column_stack([sample] + [f_j(j, sample)
                                        for j in range(J + 1)]).tolist()
-    write_table(outdir, "filters", ["lambda"] + [f"F{j}" for j in range(J + 1)], rows)
+    record.tables["filters"] = (["lambda"] + [f"F{j}" for j in range(J + 1)], rows)
 
 
-def run_kernel_decay(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
+def run_kernel_decay(cfg, eigsys, cache: ErrorCache, record: Report):
     # scales 2^-j, 0 < t <= 1, whose filter band the eigensystem covers
     usable = [2.0 ** (-j) for j in range(0, 7)
               if 16.0 * 4.0 ** j <= eigsys.band_limit]
     t_list = sorted(usable)[:5]
     if len(t_list) < 2:
         raise ConfigError("band too small for a kernel-decay sweep")
-    fits, rows, runtimes = [], [], []
+    rows = []
     for t in t_list:
         t0 = time.perf_counter()
-        kern = build_kernel(eigsys, F, t)
-        fit = fit_decay_constant(kern)
-        runtimes.append(1000.0 * (time.perf_counter() - t0))
-        fits.append(fit)
+        fit = fit_decay_constant(build_kernel(eigsys, F, t))
         rows.append([fit.t, fit.N, fit.C, fit.max_abs_kernel,
-                     round(runtimes[-1], 3)])
-    cs = [f.C for f in fits]
+                     round(1000.0 * (time.perf_counter() - t0), 3)])
+    cs = [row[2] for row in rows]
     ratio = max(cs) / min(cs) if min(cs) > 0 else float("inf")
-    report.check("kernel.decay_uniformity", ratio < 4.0, ratio, 4.0,
+    record.check("kernel.decay_uniformity", ratio < 4.0, ratio, 4.0,
                  note=f"t in {t_list}")
     vol = [weighted_decay_integral(eigsys.model, t) for t in t_list]
     vratio = max(vol) / min(vol)
-    report.check("kernel.volume_uniformity", vratio < 8.0, vratio, 8.0)
-    write_table(outdir, "kernel_decay", ["t", "N", "C", "max_abs_K", "runtime_ms"], rows)
+    record.check("kernel.volume_uniformity", vratio < 8.0, vratio, 8.0)
+    record.tables["kernel_decay"] = (["t", "N", "C", "max_abs_K", "runtime_ms"], rows)
     # operator-norm lower estimates over the same scales
     norm_rows = []
     for p in cfg["p"]:
@@ -332,14 +359,13 @@ def run_kernel_decay(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
             norm_rows.append([p, t, e])
         lo, hi = min(ests), max(ests)
         nratio = hi / lo if lo > 0 else float("inf")
-        report.check(f"kernel.opnorm_uniform[p={p:g}]", nratio < 2.0, nratio, 2.0)
-    write_table(outdir, "operator_norms", ["p", "t", "estimate"], norm_rows)
+        record.check(f"kernel.opnorm_uniform[p={p:g}]", nratio < 2.0, nratio, 2.0)
+    record.tables["operator_norms"] = (["p", "t", "estimate"], norm_rows)
 
 
-def run_approx(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
+def run_approx(cfg, eigsys, cache: ErrorCache, record: Report):
     entries = corpus_mod.default_corpus(eigsys.model.kind)
-    _atomic_write(os.path.join(outdir, "corpus_manifest.json"),
-                  json.dumps(corpus_mod.manifest(entries), indent=2))
+    record.documents["corpus_manifest.json"] = corpus_mod.manifest(entries)
     cutoffs = [4.0 ** j for j in range(cfg["jmax"] + 1)]
     rows = []
     for entry in entries:
@@ -349,7 +375,7 @@ def run_approx(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
             # the largest step up between consecutive cutoffs (jmax >= 1
             # gives at least one step)
             rise = max(b - a for a, b in zip(errs, errs[1:]))
-            report.check(f"approx.monotone[{entry.id},p={p:g}]", rise <= 1e-9,
+            record.check(f"approx.monotone[{entry.id},p={p:g}]", rise <= 1e-9,
                          rise, 1e-9)
             for j, e in enumerate(errs):
                 rows.append([entry.id, j, cutoffs[j], p, e])
@@ -363,14 +389,14 @@ def run_approx(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
                 if len(nz) >= 4:
                     js = np.array([j for j, _ in nz], dtype=float)
                     slope = np.polyfit(js, np.log2([e for _, e in nz]), 1)[0]
-                    report.check(f"approx.rate[{entry.id}]",
+                    record.check(f"approx.rate[{entry.id}]",
                                  abs(-slope - entry.expected_rate) <= 0.15,
                                  -slope, entry.expected_rate,
                                  note="coarse-scale gate; library tests pin 0.1")
-    write_table(outdir, "approx_errors", ["id", "j", "omega", "p", "error"], rows)
+    record.tables["approx_errors"] = (["id", "j", "omega", "p", "error"], rows)
 
 
-def run_jackson(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
+def run_jackson(cfg, eigsys, cache: ErrorCache, record: Report):
     k = cfg["k"]
     entry = _jackson_entry(cfg, eigsys.model.kind)
     f = entry.build(eigsys.model, eigsys)
@@ -383,13 +409,13 @@ def run_jackson(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
         floor = roundoff_floor(eigsys, f, p, cache)
         pos = [r for r, e in zip(ratios, errs) if r > 0 and e > floor]
         trend = max(pos) / np.median(pos) if pos else 1.0
-        report.check(f"jackson.bounded[p={p:g}]", trend < 10.0, trend, 10.0)
+        record.check(f"jackson.bounded[p={p:g}]", trend < 10.0, trend, 10.0)
         for j, r in enumerate(ratios):
             rows.append([entry.id, p, j, r])
-    write_table(outdir, "jackson", ["id", "p", "j", "ratio"], rows)
+    record.tables["jackson"] = (["id", "p", "j", "ratio"], rows)
 
 
-def run_bernstein(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
+def run_bernstein(cfg, eigsys, cache: ErrorCache, record: Report):
     k = cfg["k"]
     rng = np.random.default_rng(cfg["seed"])
     # the spread check compares cutoffs, so the sweep needs at least two
@@ -409,15 +435,15 @@ def run_bernstein(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
             worsts.append(worst)
             rows.append([p, omega, worst])
         if p == 2.0:
-            report.check("bernstein.p2_exact", max(worsts) <= 1.0 + 1e-12,
+            record.check("bernstein.p2_exact", max(worsts) <= 1.0 + 1e-12,
                          max(worsts), 1.0)
         else:
             spread = max(worsts) / min(worsts) if min(worsts) > 0 else float("inf")
-            report.check(f"bernstein.stable[p={p:g}]", spread < 2.0, spread, 2.0)
-    write_table(outdir, "bernstein", ["p", "omega", "max_ratio"], rows)
+            record.check(f"bernstein.stable[p={p:g}]", spread < 2.0, spread, 2.0)
+    record.tables["bernstein"] = (["p", "omega", "max_ratio"], rows)
 
 
-def run_young(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
+def run_young(cfg, eigsys, cache: ErrorCache, record: Report):
     rng = np.random.default_rng(cfg["seed"])
     model = eigsys.model
     n = model.n_nodes
@@ -437,12 +463,12 @@ def run_young(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
         lhs, rhs = young_apply_check(kern, f, p, q, alpha)
         worst = max(worst, lhs - rhs)
         rows.append([trial, p, q, alpha, lhs, rhs, lhs - rhs])
-    report.check("young.inequality", worst <= 1e-12, worst, 1e-12,
+    record.check("young.inequality", worst <= 1e-12, worst, 1e-12,
                  note="max over trials of lhs - rhs")
-    write_table(outdir, "young", ["trial", "p", "q", "alpha", "lhs", "rhs", "slack"], rows)
+    record.tables["young"] = (["trial", "p", "q", "alpha", "lhs", "rhs", "slack"], rows)
 
 
-def run_besov(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
+def run_besov(cfg, eigsys, cache: ErrorCache, record: Report):
     J = cfg["jmax"]
     summaries = []
     rows = []
@@ -483,7 +509,7 @@ def run_besov(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
                         "bernstein_max_ratio": bernstein_max,
                     })
     c_bound = max(max(ratios), 1.0 / min(ratios))
-    report.check("besov.equivalence_constant", c_bound < 50.0, c_bound, 50.0,
+    record.check("besov.equivalence_constant", c_bound < 50.0, c_bound, 50.0,
                  note="max of ratio and 1/ratio over corpus x params")
     # continuous and interpolation norms vs the dyadic a-norm at p = 2
     for entry, f, bandlimited in funcs:
@@ -493,17 +519,16 @@ def run_besov(cfg, eigsys, outdir, report: Report, cache: ErrorCache):
             cont = a_norm_continuous(eigsys, f, params, cache)
             ratio = a / cont
             ok = 1.0 / 8.0 <= ratio <= 8.0
-            report.check(f"besov.continuous[{entry.id},alpha={alpha:g}]",
+            record.check(f"besov.continuous[{entry.id},alpha={alpha:g}]",
                          ok, ratio, 8.0)
             if 0 < alpha / k < 1 and bandlimited:
                 inorm = interpolation_norm(eigsys, f, alpha / k, k, cache)
                 iratio = a / inorm
-                report.check(f"besov.interpolation[{entry.id},alpha={alpha:g}]",
+                record.check(f"besov.interpolation[{entry.id},alpha={alpha:g}]",
                              1.0 / 32.0 <= iratio <= 32.0, iratio, 32.0)
-    write_table(outdir, "besov",
-                ["id", "alpha", "p", "q", "a_norm", "comparator", "ratio"], rows)
-    _atomic_write(os.path.join(outdir, "besov_report.json"),
-                  json.dumps(_jsonable(summaries), indent=2))
+    record.tables["besov"] = (["id", "alpha", "p", "q", "a_norm", "comparator",
+                               "ratio"], rows)
+    record.documents["besov_report.json"] = summaries
 
 
 EXPERIMENTS = {
@@ -544,6 +569,7 @@ def main(argv=None) -> int:
         if args.command != "filters":   # the filter bank reads no model
             eigsys = build_model_and_eigsys(cfg, need_levels=needs_levels)
             _check_sobolev_order(cfg, eigsys, names)
+            _check_corpus_held(cfg, eigsys, names)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -551,23 +577,27 @@ def main(argv=None) -> int:
         print(f"error: the model and eigensystem do not fit in memory: {exc}",
               file=sys.stderr)
         return 2
-    report = Report()
     cache = ErrorCache()
     summary = {"config": cfg, "experiments": names}
-    aborted = None
+    assertions, aborted = [], None
     for name in names:
+        record = Report()
         try:
-            EXPERIMENTS[name](cfg, eigsys, outdir, report, cache)
+            try:
+                EXPERIMENTS[name](cfg, eigsys, cache, record)
+            finally:  # what the experiment found is written even if it raised
+                _write_outputs(outdir, record.tables, record.documents)
         except Exception as exc:
             aborted = exc
             summary["aborted"] = {"experiment": name,
                                   "error": f"{type(exc).__name__}: {exc}"}
+        assertions += record.assertions
+        if aborted is not None:
             break
-    summary.update(assertions=report.assertions,
-                   passed=aborted is None and report.all_passed)
-    _atomic_write(os.path.join(outdir, "report.json"),
-                  json.dumps(_jsonable(summary), indent=2))
-    for a in report.assertions:
+    summary.update(assertions=assertions,
+                   passed=aborted is None and all(a["passed"] for a in assertions))
+    _write_outputs(outdir, {}, {"report.json": summary})
+    for a in assertions:
         status = "PASS" if a["passed"] else "FAIL"
         print(f"[{status}] {a['name']}: value={a['value']} threshold={a['threshold']}")
     if isinstance(aborted, (ConfigError, ValueError)):
@@ -578,7 +608,7 @@ def main(argv=None) -> int:
         print(f"error: experiment {summary['aborted']['experiment']} aborted",
               file=sys.stderr)
         return 1
-    if not report.all_passed:
+    if not summary["passed"]:
         print("one or more assertions failed", file=sys.stderr)
         return 1
     return 0

@@ -27,6 +27,10 @@ class CorpusEntry:
     # highest circle frequency the builder samples; ``resolved_frequency``
     # says which circles resolve it
     frequency: int | None = None
+    # least band limit, and least eigenpair count, of an eigensystem the
+    # builder can draw from
+    band: float | None = None
+    eigenpairs: int | None = None
 
     def build(self, model: ManifoldModel, eigsys: EigenSystem | None = None) -> GridFunction:
         return self.builder(model, eigsys)
@@ -92,7 +96,7 @@ def eigen_pure(l: int) -> CorpusEntry:
         return c
 
     return CorpusEntry(id=f"eigenpure-{l}", builder=build,
-                       known_coefficients=coefs, params={"l": l})
+                       known_coefficients=coefs, params={"l": l}, eigenpairs=l + 1)
 
 
 def random_bandlimited(omega: float, seed: int) -> CorpusEntry:
@@ -117,7 +121,7 @@ def random_bandlimited(omega: float, seed: int) -> CorpusEntry:
 
     return CorpusEntry(id=f"randband-w{omega:g}-s{seed}", builder=build,
                        known_coefficients=draw,
-                       params={"omega": omega, "seed": seed})
+                       params={"omega": omega, "seed": seed}, band=omega)
 
 
 def square_wave() -> CorpusEntry:

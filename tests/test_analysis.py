@@ -160,6 +160,17 @@ class TestReadersThroughACache:
                            cache=cache)
 
 
+@pytest.mark.parametrize("norm, alpha, q", [
+    (lp_comparator_norm, 200.0, 1.0), (lp_comparator_norm, 0.5, 0.002),
+    (lp_comparator_norm, 0.5, 1e-300), (a_norm, 2000.0, 1.0), (a_norm, 0.5, 1e-300)])
+def test_dyadic_sum_that_is_not_finite_is_rejected(norm, alpha, q):
+    # 2^(alpha j) overflows, or the l_q sum over the blocks does
+    es = build_eigensystem(build_circle(128), 63.0 ** 2)
+    f = lacunary(0.5, 5).build(es.model, es)
+    with pytest.raises(ValueError, match=rf"alpha = {alpha:g}, q = {q:g}: a weight"):
+        norm(es, f, BesovParams(alpha=alpha, p=2.0, q=q, J=1))
+
+
 class TestANorm:
     def test_zero_function(self, circle512_es_1024):
         es = circle512_es_1024

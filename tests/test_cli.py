@@ -1,9 +1,11 @@
 import csv
+import io
 import json
 
 import pytest
 
 from besovlab import cli, spectrum
+from besovlab.analysis import ErrorCache
 from besovlab.cli import ConfigError, main, parse_config_file, resolve_config
 from besovlab.corpus import default_corpus
 from besovlab.mesh import icosphere, write_off
@@ -215,6 +217,45 @@ class TestConfig:
         # circles have an even node count: 66 = 2 * 32 + 2
         assert run_cli(args + ["--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("args, message", [
+        (["--nodes", "256", "--band", "10"], "band 10 cannot hold corpus function "
+         "randband-w64-s20240601; it needs a band of at least 64"),
+        (["--manifold", "torus2", "--nodes", "8"], "band 9 cannot hold corpus "
+         "function randband-w16-s20240601; it needs a band of at least 16"),
+        (["--manifold", "mesh"], "band 4 holds 4 eigenpairs; corpus function "
+         "eigenpure-5 needs 6")])
+    def test_band_that_cannot_hold_the_corpus_is_config_error(self, tmp_path,
+                                                              capsys, args, message):
+        if "mesh" in args:
+            write_off(tmp_path / "ico2.off", *icosphere(2))
+            args = args + ["--mesh", str(tmp_path / "ico2.off")]
+        out = tmp_path / "o"
+        assert run_cli(["approx", *args, "--jmax", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["approx", "--nodes", "256", "--band", "64"],
+        ["besov", "--manifold", "torus2", "--nodes", "10"]])
+    def test_least_band_that_holds_the_corpus_runs(self, tmp_path, args):
+        # a 10-node torus resolves frequency 4 per axis: band 16
+        assert run_cli(args + ["--jmax", "1", "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("flag, value, alpha, q", [
+        ("--alpha", "200", "200", "1"), ("--q", "0.002", "0.5", "0.002"),
+        ("--q", "1e-300", "0.5", "1e-300")])
+    def test_besov_weight_that_overflows_is_config_error(self, tmp_path, capsys,
+                                                         flag, value, alpha, q):
+        out = tmp_path / "o"
+        assert run_cli(["besov", "--nodes", "128", "--jmax", "1", flag, value,
+                        "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"error: alpha = {alpha}, q = {q}: a weight 2^(alpha j)" in err
+        report = json.loads((out / "report.json").read_text())
+        assert report["aborted"]["experiment"] == "besov"
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
 
 class TestAtomicWrite:
     def test_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):
@@ -291,6 +332,34 @@ class TestAbort:
         assert report["aborted"]["experiment"] == "bernstein"
         assert report["assertions"] == []
 
+    def test_aborted_experiment_leaves_what_it_finished(self, tmp_path,
+                                                         monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("operator norm failed")
+
+        monkeypatch.setattr(cli, "operator_norm_estimate", broken)
+        out = tmp_path / "o"
+        assert run_cli(["kernel-decay", "--nodes", "128", "--out", str(out)]) == 1
+        assert (out / "kernel_decay.csv").exists()
+        assert not (out / "operator_norms.csv").exists()
+        report = json.loads((out / "report.json").read_text())
+        assert report["aborted"]["experiment"] == "kernel-decay"
+        assert [a["name"] for a in report["assertions"]] == [
+            "kernel.decay_uniformity", "kernel.volume_uniformity"]
+
+    def test_failed_table_write_aborts_the_experiment(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_table", broken)
+        out = tmp_path / "o"
+        assert run_cli(["filters", "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["aborted"] == {"experiment": "filters",
+                                     "error": "OSError: disk full"}
+        assert [a["name"] for a in report["assertions"]] == [
+            "filters.partition_of_unity"]
+
     def test_complete_run_has_no_aborted_entry(self, tmp_path):
         out = tmp_path / "o"
         assert run_cli(["filters", "--out", str(out)]) == 0
@@ -330,7 +399,7 @@ class TestSubcommands:
         report = json.loads((out / "report.json").read_text())
         assert report["passed"] is True
         assert (out / "filters.csv").exists()
-        assert (out / "filters.dat").exists()
+        assert not list(out.glob("*.dat"))
         assert "[PASS]" in capsys.readouterr().out
 
     def test_spectrum_writes_eigensystem_json(self, tmp_path):
@@ -500,3 +569,45 @@ def test_package_import_leaves_scipy_optimize_and_special_unimported(fresh_pytho
     assert fresh_python("import sys, besovlab.cli; print([m for m in "
                         "('scipy.optimize', 'scipy.special') if m in sys.modules])"
                         ) == "[]"
+
+
+ALL_CIRCLE128 = ["all", "--nodes", "128", "--jmax", "2", "--trials", "8"]
+
+
+def test_records_hold_what_a_cli_run_writes(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert run_cli(ALL_CIRCLE128 + ["--out", str(out)]) == 0
+    files = {p.name: p.read_bytes().decode() for p in out.iterdir()}
+
+    # every experiment of ``all``, in-process, with no output directory and
+    # every file write refused
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an experiment wrote a file")
+
+    for mod in (cli, spectrum):
+        monkeypatch.setattr(mod, "_atomic_file", forbidden)
+        monkeypatch.setattr(mod, "save_eigensystem", forbidden)
+    cfg = resolve_config(cli.build_parser().parse_args(ALL_CIRCLE128))
+    eigsys = cli.build_model_and_eigsys(cfg)
+    cache = ErrorCache()
+    rendered = {}
+    for name, run in cli.EXPERIMENTS.items():
+        record = cli.Report()
+        run(cfg, eigsys, cache, record)
+        for table, (header, rows) in record.tables.items():
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            writer.writerow(header)
+            writer.writerows([cli._fmt(x) for x in row] for row in rows)
+            rendered[table + ".csv"] = buf.getvalue()
+        for doc, value in record.documents.items():
+            rendered[doc] = (value if doc == "eigensystem.json" else
+                             json.dumps(cli._jsonable(value), indent=2))
+    assert rendered.pop("eigensystem.json") is eigsys
+    assert set(files) == set(rendered) | {"eigensystem.json", "report.json"}
+    for name, text in rendered.items():
+        if name == "kernel_decay.csv":   # all but the runtime_ms column
+            strip = lambda t: [line.rsplit(",", 1)[0] for line in t.splitlines()]
+            assert strip(text) == strip(files[name])
+        else:
+            assert text == files[name], name

@@ -1,7 +1,8 @@
+import fnmatch
 import re
 from pathlib import Path
 
-from besovlab.cli import build_parser, parse_config_file, resolve_config
+from besovlab.cli import build_parser, main, parse_config_file, resolve_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -49,3 +50,16 @@ def test_recognized_flags_match_the_parser():
         flags = {o for a in sub._actions for o in a.option_strings
                  if o.startswith("--") and o != "--help"}
         assert set(documented) == flags
+
+
+def test_output_list_names_what_a_run_writes(tmp_path):
+    # the file names and patterns of the "Each run writes" list, e.g. `*.csv`
+    listed = re.split(r"\n\n(?![*] )", section("Each run writes"))[0]
+    kinds = set(re.findall(r"`([\w*]+\.\w+)`", listed))
+    out = tmp_path / "out"
+    assert main(["all", "--nodes", "128", "--jmax", "2", "--out", str(out)]) == 0
+    written = [p.name for p in out.iterdir()]
+    for name in written:
+        assert [k for k in kinds if fnmatch.fnmatch(name, k)], name
+    for kind in kinds:
+        assert fnmatch.filter(written, kind), kind
