@@ -13,8 +13,12 @@ error, and the exit code is 2 for a configuration error (``ConfigError``,
 ``ValueError``) and 1 for any other exception.
 The model and eigensystem are built once, before the first experiment, and
 only for experiments that read them: ``filters`` builds neither. Each
-experiment takes the eigensystem alone and reads the model it holds. A model or
-eigensystem too large for memory is a configuration error (exit 2).
+experiment takes the eigensystem alone and reads the model it holds. Right
+after the eigensystem, ``main`` builds each corpus function the experiments
+read, once, and hands them the built functions by entry id; a builder's
+refusal (a circle too coarse or a band too small for its function) is a
+configuration error. A model or eigensystem too large for memory is one too
+(exit 2). The output directory is made only after every such refusal.
 
 Configuration is a plain-text file of ``key = value`` lines ('#' comments,
 comma-separated lists); command-line flags override file values, and both are
@@ -103,8 +107,9 @@ _GRID_RULES = {"alpha": (lambda v: 0 < v < float("inf"), "positive and finite"),
 
 
 def parse_config_file(path) -> dict:
-    """Parse ``key = value`` lines into their unparsed text, by key."""
-    out = {}
+    """Parse ``key = value`` lines into their unparsed text, by key; a key
+    set twice is an error."""
+    out, first = {}, {}
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -117,7 +122,10 @@ def parse_config_file(path) -> dict:
                 key, val = key.strip(), val.strip()
                 if key not in OPTIONS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                out[key] = val
+                if key in out:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} is already "
+                                      f"set on line {first[key]}")
+                out[key], first[key] = val, lineno
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     return out
@@ -170,27 +178,17 @@ def _jackson_entry(cfg: dict, kind: str):
     return corpus_mod.random_bandlimited(4.0, cfg["seed"])
 
 
-def _corpus_entries(cfg: dict, kind: str, names: list[str]) -> list:
-    """The corpus functions the experiments ``names`` build on ``kind``."""
+def _build_corpus(cfg: dict, eigsys, names: list[str]) -> dict:
+    """Each corpus function the experiments ``names`` read, built once on
+    ``eigsys``, by entry id. A builder raises ``ValueError``, naming its
+    function, on an eigensystem that cannot hold it."""
+    kind = eigsys.model.kind
     entries = []
     if "approx" in names or "besov" in names:
         entries += corpus_mod.default_corpus(kind)
     if "jackson" in names:
         entries.append(_jackson_entry(cfg, kind))
-    return entries
-
-
-def _check_corpus_resolved(cfg: dict, names: list[str]) -> None:
-    """Reject a circle too coarse for a corpus function the run samples."""
-    if cfg["manifold"] != "circle":
-        return
-    for entry in _corpus_entries(cfg, "circle", names):
-        if (entry.frequency is not None
-                and entry.frequency > resolved_frequency(cfg["nodes"])):
-            raise ConfigError(
-                f"{cfg['nodes']} circle nodes cannot resolve frequency "
-                f"{entry.frequency} of corpus function {entry.id}; "
-                f"it needs more than {2 * entry.frequency} nodes")
+    return {entry.id: entry.build(eigsys.model, eigsys) for entry in entries}
 
 
 def _check_sobolev_order(cfg: dict, eigsys, names: list[str]) -> None:
@@ -210,20 +208,6 @@ def _check_sobolev_order(cfg: dict, eigsys, names: list[str]) -> None:
                 raise ConfigError(
                     f"k is {k}; {name} raises eigenvalues up to {top:g} to the "
                     f"power {s:g}, which overflows a float") from None
-
-
-def _check_corpus_held(cfg: dict, eigsys, names: list[str]) -> None:
-    """Reject a band whose eigensystem cannot hold a corpus function the run
-    builds: a random draw needs its cutoff within the band, a pure
-    eigenfunction its index among the eigenpairs."""
-    band = eigsys.band_limit
-    for entry in _corpus_entries(cfg, eigsys.model.kind, names):
-        if entry.band is not None and entry.band > band:
-            raise ConfigError(f"band {band:g} cannot hold corpus function "
-                              f"{entry.id}; it needs a band of at least {entry.band:g}")
-        if entry.eigenpairs is not None and entry.eigenpairs > eigsys.n_eigen:
-            raise ConfigError(f"band {band:g} holds {eigsys.n_eigen} eigenpairs; "
-                              f"corpus function {entry.id} needs {entry.eigenpairs}")
 
 
 def build_model_and_eigsys(cfg: dict, need_levels: bool = True):
@@ -307,7 +291,8 @@ def _write_outputs(outdir: str, tables: dict, documents: dict) -> None:
 # ---------------------------------------------------------------------------
 # experiments
 
-def run_spectrum(cfg, eigsys, cache: ErrorCache, record: Report):
+def run_spectrum(cfg, eigsys, cache: ErrorCache, functions: dict,
+                 record: Report):
     dev = check_orthonormality(eigsys)
     record.check("spectrum.orthonormality", dev < 1e-10, dev, 1e-10)
     record.check("spectrum.lambda0", eigsys.eigenvalues[0] == 0.0,
@@ -317,7 +302,8 @@ def run_spectrum(cfg, eigsys, cache: ErrorCache, record: Report):
     record.documents["eigensystem.json"] = eigsys
 
 
-def run_filters(cfg, eigsys, cache: ErrorCache, record: Report):
+def run_filters(cfg, eigsys, cache: ErrorCache, functions: dict,
+                record: Report):
     J = 5
     grid = np.linspace(0.0, 4.0 ** J, 10001)
     dev = check_partition(J, grid)
@@ -328,7 +314,8 @@ def run_filters(cfg, eigsys, cache: ErrorCache, record: Report):
     record.tables["filters"] = (["lambda"] + [f"F{j}" for j in range(J + 1)], rows)
 
 
-def run_kernel_decay(cfg, eigsys, cache: ErrorCache, record: Report):
+def run_kernel_decay(cfg, eigsys, cache: ErrorCache, functions: dict,
+                     record: Report):
     # scales 2^-j, 0 < t <= 1, whose filter band the eigensystem covers
     usable = [2.0 ** (-j) for j in range(0, 7)
               if 16.0 * 4.0 ** j <= eigsys.band_limit]
@@ -363,13 +350,14 @@ def run_kernel_decay(cfg, eigsys, cache: ErrorCache, record: Report):
     record.tables["operator_norms"] = (["p", "t", "estimate"], norm_rows)
 
 
-def run_approx(cfg, eigsys, cache: ErrorCache, record: Report):
+def run_approx(cfg, eigsys, cache: ErrorCache, functions: dict,
+               record: Report):
     entries = corpus_mod.default_corpus(eigsys.model.kind)
     record.documents["corpus_manifest.json"] = corpus_mod.manifest(entries)
     cutoffs = [4.0 ** j for j in range(cfg["jmax"] + 1)]
     rows = []
     for entry in entries:
-        f = entry.build(eigsys.model, eigsys)
+        f = functions[entry.id]
         for p in cfg["p"]:
             errs = [r.error for r in errors_at_cutoffs(eigsys, f, p, cutoffs, cache)]
             # the largest step up between consecutive cutoffs (jmax >= 1
@@ -396,10 +384,11 @@ def run_approx(cfg, eigsys, cache: ErrorCache, record: Report):
     record.tables["approx_errors"] = (["id", "j", "omega", "p", "error"], rows)
 
 
-def run_jackson(cfg, eigsys, cache: ErrorCache, record: Report):
+def run_jackson(cfg, eigsys, cache: ErrorCache, functions: dict,
+                record: Report):
     k = cfg["k"]
-    entry = _jackson_entry(cfg, eigsys.model.kind)
-    f = entry.build(eigsys.model, eigsys)
+    entry_id = _jackson_entry(cfg, eigsys.model.kind).id
+    f = functions[entry_id]
     rows = []
     for p in cfg["p"]:
         ratios = jackson_ratios(eigsys, f, k, p, cfg["jmax"], cache)
@@ -411,11 +400,12 @@ def run_jackson(cfg, eigsys, cache: ErrorCache, record: Report):
         trend = max(pos) / np.median(pos) if pos else 1.0
         record.check(f"jackson.bounded[p={p:g}]", trend < 10.0, trend, 10.0)
         for j, r in enumerate(ratios):
-            rows.append([entry.id, p, j, r])
+            rows.append([entry_id, p, j, r])
     record.tables["jackson"] = (["id", "p", "j", "ratio"], rows)
 
 
-def run_bernstein(cfg, eigsys, cache: ErrorCache, record: Report):
+def run_bernstein(cfg, eigsys, cache: ErrorCache, functions: dict,
+                  record: Report):
     k = cfg["k"]
     rng = np.random.default_rng(cfg["seed"])
     # the spread check compares cutoffs, so the sweep needs at least two
@@ -443,7 +433,8 @@ def run_bernstein(cfg, eigsys, cache: ErrorCache, record: Report):
     record.tables["bernstein"] = (["p", "omega", "max_ratio"], rows)
 
 
-def run_young(cfg, eigsys, cache: ErrorCache, record: Report):
+def run_young(cfg, eigsys, cache: ErrorCache, functions: dict,
+              record: Report):
     rng = np.random.default_rng(cfg["seed"])
     model = eigsys.model
     n = model.n_nodes
@@ -468,7 +459,8 @@ def run_young(cfg, eigsys, cache: ErrorCache, record: Report):
     record.tables["young"] = (["trial", "p", "q", "alpha", "lhs", "rhs", "slack"], rows)
 
 
-def run_besov(cfg, eigsys, cache: ErrorCache, record: Report):
+def run_besov(cfg, eigsys, cache: ErrorCache, functions: dict,
+              record: Report):
     J = cfg["jmax"]
     summaries = []
     rows = []
@@ -476,7 +468,7 @@ def run_besov(cfg, eigsys, cache: ErrorCache, record: Report):
     k = cfg["k"]
     funcs = []
     for entry in corpus_mod.default_corpus(eigsys.model.kind):
-        f = entry.build(eigsys.model, eigsys)
+        f = functions[entry.id]
         funcs.append((entry, f, is_bandlimited(eigsys, f, cache)))
     for entry, f, bandlimited in funcs:
         jackson_max = bernstein_max = None
@@ -561,15 +553,14 @@ def main(argv=None) -> int:
     names = list(EXPERIMENTS) if args.command == "all" else [args.command]
     try:
         cfg = resolve_config(args)
-        _check_corpus_resolved(cfg, names)
-        outdir = cfg["out"]
-        os.makedirs(outdir, exist_ok=True)
         needs_levels = args.command in ("approx", "jackson", "besov", "all")
-        eigsys = None
+        eigsys, functions = None, {}
         if args.command != "filters":   # the filter bank reads no model
             eigsys = build_model_and_eigsys(cfg, need_levels=needs_levels)
             _check_sobolev_order(cfg, eigsys, names)
-            _check_corpus_held(cfg, eigsys, names)
+            functions = _build_corpus(cfg, eigsys, names)
+        outdir = cfg["out"]
+        os.makedirs(outdir, exist_ok=True)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -584,7 +575,7 @@ def main(argv=None) -> int:
         record = Report()
         try:
             try:
-                EXPERIMENTS[name](cfg, eigsys, cache, record)
+                EXPERIMENTS[name](cfg, eigsys, cache, functions, record)
             finally:  # what the experiment found is written even if it raised
                 _write_outputs(outdir, record.tables, record.documents)
         except Exception as exc:

@@ -2,7 +2,10 @@
 
 Circle entries carry closed-form eigencoefficients (and hence exact p=2
 error sequences); sphere/torus use only the generic entries (pure
-eigenfunctions and random bandlimited draws).
+eigenfunctions and random bandlimited draws). Each builder is the one
+statement of what its function needs: on a model or eigensystem that cannot
+hold the function it raises ``ValueError``, naming the entry id and the
+resolution, band or eigenpair count the function needs.
 """
 
 from __future__ import annotations
@@ -17,20 +20,17 @@ from .spectrum import CoefVector, EigenSystem, synthesize
 
 @dataclass
 class CorpusEntry:
-    """A named test function: builder plus optional exact ground truth."""
+    """A named test function: builder plus optional exact ground truth.
+
+    ``build`` refuses, with a ``ValueError`` naming ``id``, a model or
+    eigensystem that cannot hold the function.
+    """
 
     id: str
     builder: object  # callable (model, eigsys) -> GridFunction
     known_coefficients: object = None  # callable (eigsys) -> ndarray, or None
     expected_rate: float | None = None
     params: dict = field(default_factory=dict)
-    # highest circle frequency the builder samples; ``resolved_frequency``
-    # says which circles resolve it
-    frequency: int | None = None
-    # least band limit, and least eigenpair count, of an eigensystem the
-    # builder can draw from
-    band: float | None = None
-    eigenpairs: int | None = None
 
     def build(self, model: ManifoldModel, eigsys: EigenSystem | None = None) -> GridFunction:
         return self.builder(model, eigsys)
@@ -52,11 +52,14 @@ def lacunary(alpha: float, M: int) -> CorpusEntry:
         raise ValueError("alpha must be positive")
     if M < 2:
         raise ValueError("need at least two octaves")
+    entry_id = f"lacunary-a{alpha:g}-M{M}"
 
     def build(model, eigsys=None):
         _require_circle(model)
         if 2 ** M > resolved_frequency(model.n_nodes):
-            raise ValueError(f"frequency 2^{M} unresolved by {model.n_nodes} nodes")
+            raise ValueError(f"{model.n_nodes} circle nodes cannot resolve frequency "
+                             f"{2 ** M} of corpus function {entry_id}; it needs "
+                             f"more than {2 ** (M + 1)} nodes")
         x = model.nodes[:, 0]
         vals = np.zeros(model.n_nodes)
         for m in range(1, M + 1):
@@ -69,9 +72,9 @@ def lacunary(alpha: float, M: int) -> CorpusEntry:
             c[eigsys.index_of(("cos", 2 ** m))] = np.sqrt(np.pi) * 2.0 ** (-alpha * m)
         return c
 
-    return CorpusEntry(id=f"lacunary-a{alpha:g}-M{M}", builder=build,
+    return CorpusEntry(id=entry_id, builder=build,
                        known_coefficients=coefs, expected_rate=alpha,
-                       params={"alpha": alpha, "M": M}, frequency=2 ** M)
+                       params={"alpha": alpha, "M": M})
 
 
 def lacunary_l2_error(alpha: float, M: int, omega: float) -> float:
@@ -84,10 +87,14 @@ def eigen_pure(l: int) -> CorpusEntry:
     """The single eigenfunction u_l; its error sequence is one step."""
     if l < 0:
         raise ValueError("eigenfunction index must be nonnegative")
+    entry_id = f"eigenpure-{l}"
 
     def build(model, eigsys):
-        if eigsys is None or l >= eigsys.n_eigen:
-            raise ValueError(f"eigensystem does not hold eigenfunction {l}")
+        if eigsys is None:
+            raise ValueError(f"corpus function {entry_id} needs an eigensystem")
+        if l >= eigsys.n_eigen:
+            raise ValueError(f"band {eigsys.band_limit:g} holds {eigsys.n_eigen} "
+                             f"eigenpairs; corpus function {entry_id} needs {l + 1}")
         return GridFunction(model, eigsys.eigenfunctions[:, l].copy())
 
     def coefs(eigsys):
@@ -95,18 +102,20 @@ def eigen_pure(l: int) -> CorpusEntry:
         c[l] = 1.0
         return c
 
-    return CorpusEntry(id=f"eigenpure-{l}", builder=build,
-                       known_coefficients=coefs, params={"l": l}, eigenpairs=l + 1)
+    return CorpusEntry(id=entry_id, builder=build,
+                       known_coefficients=coefs, params={"l": l})
 
 
 def random_bandlimited(omega: float, seed: int) -> CorpusEntry:
     """Unit-L2 random element of the span {lambda <= omega} (seeded)."""
     if not 0 < omega < np.inf:
         raise ValueError(f"omega must be positive and finite, not {omega}")
+    entry_id = f"randband-w{omega:g}-s{seed}"
 
     def draw(eigsys):
         if omega > eigsys.band_limit:
-            raise ValueError("omega exceeds the computed band limit")
+            raise ValueError(f"band {eigsys.band_limit:g} cannot hold corpus function "
+                             f"{entry_id}; it needs a band of at least {omega:g}")
         k = eigsys.cutoff_index(omega)
         rng = np.random.default_rng(seed)
         c = np.zeros(eigsys.n_eigen)
@@ -116,12 +125,11 @@ def random_bandlimited(omega: float, seed: int) -> CorpusEntry:
 
     def build(model, eigsys):
         if eigsys is None:
-            raise ValueError("random bandlimited entry needs an eigensystem")
+            raise ValueError(f"corpus function {entry_id} needs an eigensystem")
         return synthesize(eigsys, CoefVector(draw(eigsys)))
 
-    return CorpusEntry(id=f"randband-w{omega:g}-s{seed}", builder=build,
-                       known_coefficients=draw,
-                       params={"omega": omega, "seed": seed}, band=omega)
+    return CorpusEntry(id=entry_id, builder=build, known_coefficients=draw,
+                       params={"omega": omega, "seed": seed})
 
 
 def square_wave() -> CorpusEntry:

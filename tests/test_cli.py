@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import json
@@ -7,7 +8,7 @@ import pytest
 from besovlab import cli, spectrum
 from besovlab.analysis import ErrorCache
 from besovlab.cli import ConfigError, main, parse_config_file, resolve_config
-from besovlab.corpus import default_corpus
+from besovlab.corpus import CorpusEntry, default_corpus
 from besovlab.mesh import icosphere, write_off
 
 
@@ -34,6 +35,18 @@ class TestConfig:
         cfg.write_text("volume = 11\n")
         with pytest.raises(ConfigError):
             parse_config_file(cfg)
+
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        # the later line used to win silently
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("nodes = 128\n# coarser\nnodes = 64\n")
+        message = "exp.cfg:3: key 'nodes' is already set on line 1"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_file(cfg)
+        out = tmp_path / "o"
+        assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -165,7 +178,7 @@ class TestConfig:
         assert run_cli(args + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert message in err and "overflows a float" in err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [
         ["jackson", "--nodes", "256", "--jmax", "2", "--k", "146"],
@@ -390,6 +403,34 @@ class TestModelBuild:
                        "Unable to allocate 35.5 PiB for an array\n")
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["approx", "--nodes", "256", "--band", "10", "--jmax", "2"],
+         "cannot reach jmax=2"),
+        (["approx", "--nodes", "256", "--band", "10", "--jmax", "1"],
+         "cannot hold corpus function"),
+        (["bernstein", "--nodes", "64", "--k", "200"], "overflows a float"),
+        (["spectrum", "--nodes", "64"], "do not fit in memory")])
+    def test_refusal_before_the_run_makes_no_output_directory(
+            self, tmp_path, monkeypatch, capsys, args, message):
+        # the directory used to be made before the levels, corpus and
+        # Sobolev-order checks and the eigensystem build
+        if message == "do not fit in memory":
+            def too_big(model, band):
+                raise MemoryError("Unable to allocate 35.5 PiB for an array")
+
+            monkeypatch.setattr(cli, "build_eigensystem", too_big)
+        out = tmp_path / "o"
+        assert run_cli(args + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.write_text("not a directory\n")
+        assert run_cli(["spectrum", "--nodes", "64", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == "not a directory\n"
+
 
 class TestSubcommands:
     def test_filters_passes_and_writes_outputs(self, tmp_path, capsys):
@@ -508,8 +549,8 @@ class TestDeterminism:
 
 
 def test_all_solves_each_problem_once(tmp_path, monkeypatch):
-    # experiments rebuild the corpus, so repeats are equal values in new
-    # GridFunction objects; the error cache must catch them all
+    # approx, jackson and besov read one built copy of each corpus function,
+    # and the error cache must answer every solve that one of them repeats
     import besovlab.analysis
     import besovlab.approx
     orig = besovlab.approx.best_approx
@@ -589,11 +630,12 @@ def test_records_hold_what_a_cli_run_writes(tmp_path, monkeypatch):
         monkeypatch.setattr(mod, "save_eigensystem", forbidden)
     cfg = resolve_config(cli.build_parser().parse_args(ALL_CIRCLE128))
     eigsys = cli.build_model_and_eigsys(cfg)
+    functions = cli._build_corpus(cfg, eigsys, list(cli.EXPERIMENTS))
     cache = ErrorCache()
     rendered = {}
     for name, run in cli.EXPERIMENTS.items():
         record = cli.Report()
-        run(cfg, eigsys, cache, record)
+        run(cfg, eigsys, cache, functions, record)
         for table, (header, rows) in record.tables.items():
             buf = io.StringIO()
             writer = csv.writer(buf)
@@ -611,3 +653,18 @@ def test_records_hold_what_a_cli_run_writes(tmp_path, monkeypatch):
             assert strip(text) == strip(files[name])
         else:
             assert text == files[name], name
+
+
+def test_all_builds_each_corpus_function_once(tmp_path, monkeypatch):
+    orig = CorpusEntry.build
+    built = collections.Counter()
+
+    def counting(self, model, eigsys=None):
+        built[self.id] += 1
+        return orig(self, model, eigsys)
+
+    monkeypatch.setattr(CorpusEntry, "build", counting)
+    assert run_cli(ALL_CIRCLE128 + ["--out", str(tmp_path / "out")]) == 0
+    # the default corpus, and the jackson function
+    assert len(built) == len(default_corpus("circle")) + 1
+    assert set(built.values()) == {1}

@@ -8,8 +8,8 @@ from besovlab.approx import best_approx
 from besovlab.corpus import (default_corpus, eigen_pure, lacunary,
                              lacunary_l2_error, manifest, random_bandlimited,
                              square_wave, square_wave_l2_error)
-from besovlab.manifold import lp_norm
-from besovlab.spectrum import project
+from besovlab.manifold import build_circle, lp_norm
+from besovlab.spectrum import build_eigensystem, project
 
 
 class TestLacunary:
@@ -49,7 +49,9 @@ class TestLacunary:
 
     def test_rejects_unresolved_grid(self, circle1024, circle1024_es):
         entry = lacunary(1.0, 10)  # frequency 1024 on 1024 nodes
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=(
+                "1024 circle nodes cannot resolve frequency 1024 of corpus function "
+                "lacunary-a1-M10; it needs more than 2048 nodes")):
             entry.build(circle1024, circle1024_es)
 
 
@@ -75,6 +77,12 @@ class TestEigenPure:
         declared = entry.known_coefficients(es)
         assert np.abs(project(es, f).coefficients - declared).max() < 1e-10
 
+    def test_rejects_an_eigensystem_without_its_eigenpair(self):
+        es = build_eigensystem(build_circle(64), 4.0)  # lambda 0, 1, 1, 4, 4
+        with pytest.raises(ValueError, match=(
+                "band 4 holds 5 eigenpairs; corpus function eigenpure-5 needs 6")):
+            eigen_pure(5).build(es.model, es)
+
 
 class TestRandomBandlimited:
     def test_zero_error_at_own_band(self, circle1024_es):
@@ -96,6 +104,13 @@ class TestRandomBandlimited:
         es = circle1024_es
         f = random_bandlimited(64.0, seed=3).build(es.model, es)
         assert lp_norm(es.model, f, 2.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_rejects_a_band_below_its_cutoff(self):
+        es = build_eigensystem(build_circle(64), 10.0)
+        with pytest.raises(ValueError, match=(
+                "band 10 cannot hold corpus function randband-w64-s5; "
+                "it needs a band of at least 64")):
+            random_bandlimited(64.0, 5).build(es.model, es)
 
     @pytest.mark.parametrize("omega", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_a_cutoff_not_positive_and_finite(self, omega):
